@@ -1,7 +1,11 @@
 // Supplementary experiment: PageRank via the scatter pattern vs the
 // sequential power-iteration baseline — bounds the cost of expressing an
-// accumulate-style algorithm declaratively (the `modify` statement path,
-// which always takes the lock-map route).
+// accumulate-style algorithm declaratively. The scatter's `plus` reducer
+// compiles to the accumulate lane (16-byte records, sender-side combining,
+// whole-envelope atomic scatter-add); BM_PageRankGenericRoute pins the same
+// pattern to the generic gather -> evaluate -> lock-map route
+// (compile_options::fast_path = off, as DPG_PATTERN_FASTPATH=0 would), so
+// the pair measures what the accumulate lane buys.
 #include <benchmark/benchmark.h>
 
 #include "algo/baselines.hpp"
@@ -18,17 +22,33 @@ const workload& wl() {
   return w;
 }
 
-void BM_PageRankPattern(benchmark::State& state) {
+void run_pattern(benchmark::State& state, pattern::compile_options copts) {
   const auto ranks = static_cast<ampp::rank_t>(state.range(0));
   auto g = wl().build(ranks);
   ampp::transport tp(ampp::transport_config{.n_ranks = ranks});
-  algo::pagerank_solver pr(tp, g);
+  algo::pagerank_solver pr(tp, g, copts);
+  obs::stats_scope sc(tp.obs());
   for (auto _ : state) {
     tp.run([&](ampp::transport_context& ctx) { pr.run(ctx, 0.85, kIters); });
   }
+  const obs::stats_snapshot& d = sc.finish();
   state.counters["iters"] = kIters;
+  state.counters["msgs_per_iter"] = static_cast<double>(d.core.messages_sent) /
+                                    static_cast<double>(state.iterations() * kIters);
 }
+
+void BM_PageRankPattern(benchmark::State& state) { run_pattern(state, {}); }
 BENCHMARK(BM_PageRankPattern)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_PageRankGenericRoute(benchmark::State& state) {
+  run_pattern(state, {.fast_path = pattern::compile_options::toggle::off});
+}
+BENCHMARK(BM_PageRankGenericRoute)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_PageRankBaseline(benchmark::State& state) {
   auto g = wl().build(1);

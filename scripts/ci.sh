@@ -86,6 +86,33 @@ if ratio >= 1.3:
     raise SystemExit("ratio guard FAILED: compiled pattern SSSP regressed vs hand-rolled")
 EOF
 
+echo "=== bench ratio guard (accumulate lane vs generic route, PageRank) ==="
+# The plus-reducer scatter compiles to the accumulate lane (sender-side
+# combining + whole-envelope atomic scatter-add). At 2 ranks it must stay
+# at least 1.5x faster than the same pattern forced onto the generic
+# gather/evaluate/lock-map route; ~2x on a quiet machine.
+BUILD_DIR=build-werror BENCH_SUFFIX=.ci \
+  BENCH_ARGS="--benchmark_min_time=0.05 --benchmark_repetitions=1" \
+  scripts/bench_json.sh pagerank
+python3 - <<'EOF2'
+import json
+with open("BENCH_pagerank.ci.json") as f:
+    rows = json.load(f)["benchmarks"]
+
+def real_time(name):
+    for r in rows:
+        if r["name"] == name and r.get("run_type", "iteration") == "iteration":
+            return r["real_time"]
+    raise SystemExit(f"ratio guard: benchmark '{name}' missing from BENCH_pagerank.ci.json")
+
+lane = real_time("BM_PageRankPattern/2/real_time")
+generic = real_time("BM_PageRankGenericRoute/2/real_time")
+ratio = generic / lane
+print(f"generic route / accumulate lane @2 ranks: {ratio:.2f}x (limit >=1.5x)")
+if ratio < 1.5:
+    raise SystemExit("ratio guard FAILED: the PageRank accumulate lane lost its edge over the generic route")
+EOF2
+
 echo "=== bench ratio guard (warm repair vs cold re-solve) ==="
 # The in-place warm repair after apply_edges() must stay decisively
 # cheaper than a cold re-solve on the mutated graph. The real experiment

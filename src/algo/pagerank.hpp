@@ -1,8 +1,17 @@
 // PageRank as a pattern: a scatter action accumulates rank contributions
-// into the target's slot with a general `modify` (the grammar's arbitrary
-// property-map modification), and an imperative per-iteration epilogue
-// applies damping and swaps buffers — a textbook case of the paper's
-// "declarative patterns inside imperative algorithms".
+// into the target's slot with a `modify` through the library's `plus`
+// reducer, and an imperative per-iteration epilogue applies damping and
+// swaps buffers — a textbook case of the paper's "declarative patterns
+// inside imperative algorithms".
+//
+// Because the reducer is a tag the plan compiler recognizes (not an
+// arbitrary lambda), the scatter compiles to the accumulate lane: 16-byte
+// {target, share} records, same-target shares summed at the sender by the
+// reduction cache (a Pregel combiner), and a whole-envelope atomic
+// scatter-add at the owner. With DPG_PATTERN_FASTPATH=0 (or
+// compile_options::fast_path = off) the same pattern takes the generic
+// gather -> evaluate -> lock-map route; both agree up to floating-point
+// reassociation of the per-vertex sums.
 #pragma once
 
 #include <memory>
@@ -16,7 +25,8 @@ using graph::vertex_id;
 
 class pagerank_solver {
  public:
-  pagerank_solver(ampp::transport& tp, const graph::distributed_graph& g)
+  pagerank_solver(ampp::transport& tp, const graph::distributed_graph& g,
+                  pattern::compile_options copts = {})
       : g_(&g),
         rank_(g, 0.0),
         next_(g, 0.0),
@@ -29,12 +39,8 @@ class pagerank_solver {
         tp, g, locks_,
         make_action("pr.scatter", out_edges_gen{},
                     // Always fires: accumulate the sender's per-edge share.
-                    when(lit(true),
-                         modify(next(trg(e_)),
-                                [](double& acc, double contribution) {
-                                  acc += contribution;
-                                },
-                                share(v_)))));
+                    when(lit(true), modify(next(trg(e_)), plus{}, share(v_)))),
+        copts);
   }
 
   /// Collective: `iterations` damped power-iteration rounds.
@@ -81,6 +87,8 @@ class pagerank_solver {
   }
 
   pmap::vertex_property_map<double>& ranks() { return rank_; }
+  /// The compiled scatter plan (the accumulate lane unless disabled).
+  const pattern::plan_info& plan() const { return scatter_->plan(); }
 
  private:
   const graph::distributed_graph* g_;

@@ -342,7 +342,7 @@ class pagerank_session final : public serve::solver_session {
   explicit pagerank_session(const session_env& env)
       : solver_session(serve::algorithm::pagerank, graph::snapshot_view(*env.g)),
         tp_(env.machine, env.tuning, env.pool),
-        solver_(tp_, *env.g) {}
+        solver_(tp_, *env.g, env.copts) {}
 
   serve::session_result run(const serve::query_params& p) override {
     snap_.refresh();

@@ -99,6 +99,25 @@ class wire_backend {
   /// Returns the number of frames delivered. Throws wire_error on protocol
   /// violations or a dead peer with a partial frame in flight.
   virtual std::size_t poll(const frame_sink& sink) = 0;
+
+  /// Installs the sink a blocked send() drains inbound frames into while
+  /// it waits for pipe space. Without it, two ranks flooding each other
+  /// could both block in send() with neither reading, until the timeout.
+  /// The sink runs on the sending thread, possibly under the caller's
+  /// locks, so it must only stash frames (never send). Install before
+  /// traffic starts.
+  void set_stall_sink(frame_sink sink) { stall_sink_ = std::move(sink); }
+
+ protected:
+  /// Called by implementations from a send() that is waiting on a full
+  /// pipe: one poll() into the stall sink (a no-op when none is installed
+  /// or another thread is already polling).
+  void drain_while_blocked() {
+    if (stall_sink_) (void)poll(stall_sink_);
+  }
+
+ private:
+  frame_sink stall_sink_;
 };
 
 /// Builds the backend described by `cfg` for a machine of `n_ranks` ranks

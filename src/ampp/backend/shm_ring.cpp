@@ -28,7 +28,9 @@ namespace {
 constexpr std::uint64_t kWrapMark = ~0ull;
 constexpr std::uint32_t kSegMagic = 0x44504753u;  // "DPGS"
 
-struct segment_header {
+// Cache-line sized so every ring after it keeps ring_header's 64-byte
+// alignment (ring_slot_bytes is a multiple of 64 too).
+struct alignas(64) segment_header {
   wire_handshake hs;  // magic/version/endian/n_ranks/channel of the creator
   std::uint32_t seg_magic;
   std::uint32_t ring_bytes;
@@ -205,6 +207,9 @@ void shm_ring_backend::push_frame(ring& r, const wire_header& h,
       throw wire_error("shm backend: ring to rank full for " +
                        std::to_string(attach_timeout_ms_) +
                        "ms — peer stalled or exited");
+    // The peer may itself be blocked pushing into our inbound ring: drain
+    // it while we wait, so mutual floods make progress.
+    drain_while_blocked();
     std::this_thread::yield();
   }
 

@@ -196,7 +196,10 @@ void tcp_backend::send_all(int fd, const void* buf, std::size_t n, rank_t dest) 
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // The socket inherited O_NONBLOCK (one fd serves both directions);
-        // a full send buffer just means the peer is busy — wait it out.
+        // a full send buffer just means the peer is busy — wait it out,
+        // draining inbound frames meanwhile in case the peer is blocked
+        // sending to us.
+        drain_while_blocked();
         std::this_thread::yield();
         continue;
       }

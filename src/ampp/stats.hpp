@@ -24,6 +24,9 @@ struct transport_stats {
   std::atomic<std::uint64_t> wire_bytes_sent{0};    ///< envelope bytes on the wire (<= bytes_sent; compact layouts truncate)
   std::atomic<std::uint64_t> handler_invocations{0};///< user handler calls
   std::atomic<std::uint64_t> self_deliveries{0};    ///< payloads whose destination was the sender
+  // Reduction-cache counters are counted lane-locally under the lane lock
+  // and published here when the lane flushes (see message_type::lane):
+  // exact at quiescence and per epoch, never bumped once per payload.
   std::atomic<std::uint64_t> cache_hits{0};         ///< sends absorbed by a reduction cache
   std::atomic<std::uint64_t> cache_evictions{0};    ///< cache slots spilled to the wire
   std::atomic<std::uint64_t> td_rounds{0};          ///< termination-detection rounds completed

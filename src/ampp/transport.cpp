@@ -62,6 +62,10 @@ transport::transport(transport_config cfg, std::shared_ptr<wire_pool> pool)
     // Rendezvous happens here: the constructor returns only once every
     // sibling rank process attached and passed the handshake.
     backend_ = make_backend(cfg_.backend, cfg_.n_ranks);
+    // A send blocked on a full pipe keeps accepting inbound frames into the
+    // inbox, so two ranks flooding each other cannot deadlock.
+    backend_->set_stall_sink(
+        [this](const wire_header& h, const std::byte* payload) { accept_frame(h, payload); });
     xproc_ = true;
     self_rank_ = cfg_.backend.self_rank;
     xsend_seq_ = std::vector<std::atomic<std::uint64_t>>(cfg_.n_ranks);
@@ -313,50 +317,54 @@ void transport::set_topology_stamp(std::uint64_t version, std::uint64_t structur
 
 void transport::poll_backend() {
   backend_->poll([this](const wire_header& h, const std::byte* payload) {
-    // The backend already ran validate_header (magic/version/endian/src);
-    // here the frame meets the local process: registry, topology, ordering.
-    if (h.flags & wire_flag_oob) {
-      std::lock_guard<std::mutex> g(oob_mu_);
-      oob_in_[h.src].emplace_back(
-          h.seq, std::vector<std::byte>(payload, payload + h.payload_bytes));
-      return;
-    }
-    if (h.type_id >= types_.size())
-      throw wire_error("wire frame: unknown message type id " +
-                       std::to_string(h.type_id) + " (registry has " +
-                       std::to_string(types_.size()) + " types)");
-    detail::message_type_base* mt = types_[h.type_id].get();
-    if (h.type_hash != mt->wire_hash())
-      throw wire_error("wire frame: type hash mismatch for id " +
-                       std::to_string(h.type_id) + " (local type '" + mt->name() +
-                       "') — processes registered message types in different orders");
-    if (h.topo_version != topo_version_ || h.structure_version != topo_structure_version_)
-      throw wire_error(
-          "wire frame: stale topology stamp (frame v" + std::to_string(h.topo_version) +
-          "/s" + std::to_string(h.structure_version) + ", local v" +
-          std::to_string(topo_version_) + "/s" + std::to_string(topo_structure_version_) +
-          ") — cross-process runs require single-writer topology; see docs/runtime.md");
-    if (h.seq != xrecv_seq_[h.src])
-      throw wire_error("wire frame: sequence gap from rank " + std::to_string(h.src) +
-                       " (got " + std::to_string(h.seq) + ", expected " +
-                       std::to_string(xrecv_seq_[h.src]) +
-                       ") — the backend pipe is supposed to be reliable and ordered");
-    ++xrecv_seq_[h.src];
-    if (h.payload_bytes != h.count * mt->wire_stride_bytes())
-      throw wire_error("wire frame: length disagrees with payload stride for type '" +
-                       mt->name() + "'");
-    detail::envelope env;
-    env.vt = mt->wire_vtable();
-    env.count = h.count;
-    env.bytes = pool_acquire(self_rank_);
-    env.bytes.resize(h.payload_bytes);
-    std::memcpy(env.bytes.data(), payload, h.payload_bytes);
-    env.src = h.src;
-    env.seq = h.seq;
-    rank_state& rs = ranks_[self_rank_];
-    std::lock_guard<std::mutex> g(rs.inbox_mu);
-    rs.inbox.push_back(std::move(env));
+    accept_frame(h, payload);
   });
+}
+
+void transport::accept_frame(const wire_header& h, const std::byte* payload) {
+  // The backend already ran validate_header (magic/version/endian/src);
+  // here the frame meets the local process: registry, topology, ordering.
+  if (h.flags & wire_flag_oob) {
+    std::lock_guard<std::mutex> g(oob_mu_);
+    oob_in_[h.src].emplace_back(
+        h.seq, std::vector<std::byte>(payload, payload + h.payload_bytes));
+    return;
+  }
+  if (h.type_id >= types_.size())
+    throw wire_error("wire frame: unknown message type id " +
+                     std::to_string(h.type_id) + " (registry has " +
+                     std::to_string(types_.size()) + " types)");
+  detail::message_type_base* mt = types_[h.type_id].get();
+  if (h.type_hash != mt->wire_hash())
+    throw wire_error("wire frame: type hash mismatch for id " +
+                     std::to_string(h.type_id) + " (local type '" + mt->name() +
+                     "') — processes registered message types in different orders");
+  if (h.topo_version != topo_version_ || h.structure_version != topo_structure_version_)
+    throw wire_error(
+        "wire frame: stale topology stamp (frame v" + std::to_string(h.topo_version) +
+        "/s" + std::to_string(h.structure_version) + ", local v" +
+        std::to_string(topo_version_) + "/s" + std::to_string(topo_structure_version_) +
+        ") — cross-process runs require single-writer topology; see docs/runtime.md");
+  if (h.seq != xrecv_seq_[h.src])
+    throw wire_error("wire frame: sequence gap from rank " + std::to_string(h.src) +
+                     " (got " + std::to_string(h.seq) + ", expected " +
+                     std::to_string(xrecv_seq_[h.src]) +
+                     ") — the backend pipe is supposed to be reliable and ordered");
+  ++xrecv_seq_[h.src];
+  if (h.payload_bytes != h.count * mt->wire_stride_bytes())
+    throw wire_error("wire frame: length disagrees with payload stride for type '" +
+                     mt->name() + "'");
+  detail::envelope env;
+  env.vt = mt->wire_vtable();
+  env.count = h.count;
+  env.bytes = pool_acquire(self_rank_);
+  env.bytes.resize(h.payload_bytes);
+  std::memcpy(env.bytes.data(), payload, h.payload_bytes);
+  env.src = h.src;
+  env.seq = h.seq;
+  rank_state& rs = ranks_[self_rank_];
+  std::lock_guard<std::mutex> g(rs.inbox_mu);
+  rs.inbox.push_back(std::move(env));
 }
 
 std::vector<std::vector<std::byte>> transport::exchange_blobs(

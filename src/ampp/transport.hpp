@@ -367,6 +367,14 @@ class message_type final : public detail::message_type_base {
     /// only on the unused->used transition and cleared by the spill).
     std::uint32_t used_slots = 0;
     std::vector<std::uint32_t> used_list;
+    /// Reduction-cache hits / evictions not yet published to
+    /// transport_stats. Guarded by mu and published by the next flush of
+    /// this lane, so the per-payload send path writes only this lane's
+    /// cache lines — never a counter every rank thread shares. Exact at
+    /// every flush: a hit or eviction always leaves a used slot behind,
+    /// so the lane is dirty and the epoch's termination flush visits it.
+    std::uint64_t pending_hits = 0;
+    std::uint64_t pending_evictions = 0;
   };
 
   struct per_source {
@@ -621,6 +629,10 @@ class transport {
   /// inbox envelope (validated against the type registry, topology stamp,
   /// and per-source sequence) or an OOB blob. No-op in-process.
   void poll_backend();
+  /// Validates one wire frame and stashes it: an OOB blob, or an inbox
+  /// envelope. The sink of poll_backend and of a send stalled on a full
+  /// pipe (wire_backend::set_stall_sink); never sends.
+  void accept_frame(const wire_header& h, const std::byte* payload);
   drain_result drain_rank(transport_context& ctx, bool at_most_one);
   void flush_all_types(rank_t src);
   bool all_buffers_empty(rank_t src) const;
@@ -849,14 +861,14 @@ void message_type<Payload>::send(transport_context& ctx, rank_t dest, const Payl
     red_slot& slot = ln.cache[slot_idx];
     if (slot.used && slot.key == key) {
       slot.payload = reduce_->combine(slot.payload, p);
-      tp_->obs_.core().cache_hits.fetch_add(1, std::memory_order_relaxed);
+      ++ln.pending_hits;
       return;
     }
     if (slot.used) {
       // Evict: the old payload moves slot -> buf (still buffered) and the
       // new one takes the slot, so the net occupancy change is +1.
       ln.buf.push_back(slot.payload);
-      tp_->obs_.core().cache_evictions.fetch_add(1, std::memory_order_relaxed);
+      ++ln.pending_evictions;
     } else {
       ++ln.used_slots;
       ln.used_list.push_back(static_cast<std::uint32_t>(slot_idx));
@@ -907,7 +919,17 @@ void message_type<Payload>::note_occupancy(lane& ln, std::int64_t delta) {
 template <class Payload>
 void message_type<Payload>::flush_lane_locked(rank_t src, rank_t dest, lane& ln,
                                               bool spill_cache) {
-  tp_->obs_.core().flush_lane_visits.fetch_add(1, std::memory_order_relaxed);
+  transport_stats& st = tp_->obs_.core();
+  st.flush_lane_visits.fetch_add(1, std::memory_order_relaxed);
+  // Publish the lane-local cache counters (once per flush, not per send).
+  if (ln.pending_hits != 0) {
+    st.cache_hits.fetch_add(ln.pending_hits, std::memory_order_relaxed);
+    ln.pending_hits = 0;
+  }
+  if (ln.pending_evictions != 0) {
+    st.cache_evictions.fetch_add(ln.pending_evictions, std::memory_order_relaxed);
+    ln.pending_evictions = 0;
+  }
   if (reduce_ && spill_cache && ln.used_slots != 0) {
     // Spill O(used) slots via the used-slot index list, not O(2^bits) over
     // the whole cache. slot -> buf is occupancy-neutral; the flush below
@@ -949,8 +971,7 @@ void message_type<Payload>::flush_lane_locked(rank_t src, rank_t dest, lane& ln,
   tp_->deliver(src, dest, std::move(env), internal_ ? 0 : count);
   tp_->obs_.on_sent(id_, count, n_bytes);
   tp_->obs_.on_envelope(id_, wire_bytes);
-  if (internal_)
-    tp_->obs_.core().control_messages.fetch_add(count, std::memory_order_relaxed);
+  if (internal_) st.control_messages.fetch_add(count, std::memory_order_relaxed);
 }
 
 template <class Payload>

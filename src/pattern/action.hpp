@@ -77,6 +77,38 @@ auto modify(read_expr<PM, Idx> target, F fn, Args... args) {
       target, std::move(fn), std::tuple<decltype(as_expr(args))...>{as_expr(args)...}};
 }
 
+/// Library reducers: associative + commutative in-place combiners usable as
+/// the `fn` of modify(). Unlike an arbitrary lambda, a reducer tag is
+/// recognized at compile time, so a one-when scatter such as
+///
+///   when(lit(true), modify(next(trg(e_)), plus{}, share(v_)))
+///
+/// compiles to the accumulate lane (see detail::accum_shape): a 16-byte
+/// {target, value} record, same-target contributions combined at the
+/// sender, and one atomic read-modify-write at the owner instead of the
+/// lock map. Off the fast lane a reducer is just the plain update functor.
+template <class F>
+concept reducer = requires { requires F::is_reducer; };
+
+/// `acc += x`: the PageRank / degree-count accumulation.
+struct plus {
+  static constexpr bool is_reducer = true;
+  template <class T, class U>
+  void operator()(T& acc, const U& x) const {
+    acc += x;
+  }
+  /// Sender-side combine of two pending contributions to one target.
+  template <class T>
+  static T combine(const T& a, const T& b) {
+    return a + b;
+  }
+  /// Applies one contribution to a slot concurrent handler threads share.
+  template <class T>
+  static void apply_atomic(T& slot, const T& x) {
+    std::atomic_ref<T>(slot).fetch_add(x, std::memory_order_relaxed);
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Conditions
 // ---------------------------------------------------------------------------
@@ -139,7 +171,10 @@ struct plan_info {
   std::string final_locality;
   bool fast_path = false;    ///< single-locality relax kernel engaged
   bool batch_kernel = false; ///< whole-envelope SIMD batch dispatch engaged
-  bool fast_reduction = false;  ///< sender-side combining cache on the relax lane
+  bool fast_reduction = false;  ///< sender-side combining cache on the fast lane
+  /// The fast lane is the reducer accumulate kernel (atomic apply of a
+  /// library reducer, see detail::accum_shape), not compare-and-update.
+  bool accumulate = false;
   std::size_t cse_hits = 0;  ///< duplicate reads sharing one arena slot
   /// Bytes each synthesized message carries on the wire, in send order:
   /// gather wires first (into hop 1, hop 2, …), then the evaluate message
@@ -349,6 +384,48 @@ struct fast_shape<when_clause<bin_expr<op_gt, L, read_expr<PM, Idx>>,
   using value_type = typename PM::value_type;
   static constexpr bool min_update = false;
   static bool cmp(const value_type& cur, const value_type& prop) { return cur < prop; }
+};
+
+// ---------------------------------------------------------------------------
+// Accumulate lane shape (compiled sum-accumulate kernel)
+// ---------------------------------------------------------------------------
+
+/// The fast-lane shape of a one-when scatter through a library reducer —
+/// the Pregel combiner case: the guard is a literal or reads only at v,
+/// the single modification applies a `reducer` to a generator-homed vertex
+/// slot, and the reducer's argument is computable at v. Such an action
+/// compiles to the same {destination vertex, value} record as the relax
+/// lane, with the guard and argument evaluated at the sender (their
+/// v-homed reads hoisted out of the edge loop), the reducer's combine as
+/// the sender-side reduction, and the reducer's atomic apply at the owner.
+/// Equivalent to the generic route because every read the guard and
+/// argument perform is gathered at hop 0 there too, and the reducer is
+/// associative + commutative, so neither combining nor arrival order can
+/// change the accumulated value (up to floating-point reassociation).
+template <class When, class Gen>
+struct accum_shape : std::false_type {
+  using guard_expr = lit_expr<bool>;  // dummy; uses are `if constexpr` guarded
+};
+
+template <class PM>
+inline constexpr bool accum_eligible_map =
+    !is_edge_map<PM> && pmap::atomic_capable<typename PM::value_type> &&
+    std::is_arithmetic_v<typename PM::value_type> &&
+    !std::is_same_v<typename PM::value_type, bool>;
+
+template <class Cond, class PM, class Idx, class R, class Arg, class Gen>
+  requires (reducer<R> && accum_eligible_map<PM> &&
+            home_of<Idx, Gen>::kind == home_kind::at_gen &&
+            reads_all_at_v<Cond, Gen>() && reads_all_at_v<Arg, Gen>())
+struct accum_shape<when_clause<Cond, modify_stmt<PM, Idx, R, Arg>>, Gen>
+    : std::true_type {
+  using pm_type = PM;
+  using idx_expr = Idx;
+  using val_expr = Arg;
+  using guard_expr = Cond;
+  using value_type = typename PM::value_type;
+  using reducer_type = R;
+  static constexpr bool min_update = false;  // not a compare-and-update
 };
 
 // ---------------------------------------------------------------------------
@@ -597,10 +674,17 @@ class instantiated_action final : public action_instance {
 
  private:
   using FirstWhen = std::tuple_element_t<0, std::tuple<Whens...>>;
-  using fshape = detail::fast_shape<FirstWhen, Gen>;
-  /// Statically: a one-when compare-and-update whose proposed value and
-  /// target owner are computable at the invocation site — compilable into
-  /// the minimal relax record instead of the general gather chain.
+  using ashape = detail::accum_shape<FirstWhen, Gen>;
+  /// Statically: a one-when scatter through a library reducer — the
+  /// accumulate lane (a flavor of the fast lane, sharing its record,
+  /// message type, toggles and batch/reduction hooks).
+  static constexpr bool kAccum = sizeof...(Whens) == 1 && ashape::value;
+  using fshape =
+      std::conditional_t<kAccum, ashape, detail::fast_shape<FirstWhen, Gen>>;
+  /// Statically: a one-when compare-and-update (or reducer accumulate)
+  /// whose value and target owner are computable at the invocation site —
+  /// compilable into the minimal relax record instead of the general
+  /// gather chain.
   static constexpr bool kFastShape = sizeof...(Whens) == 1 && fshape::value;
 
   /// The compact fast-path payload: destination vertex + proposed value
@@ -617,6 +701,9 @@ class instantiated_action final : public action_instance {
       std::declval<const typename fshape::idx_expr&>()));
   using fast_val_fn_t = decltype(plan_builder<Gen>::compile_direct_hoisted(
       std::declval<const typename fshape::val_expr&>(),
+      std::declval<hoisted_reads&>()));
+  using fast_guard_fn_t = decltype(plan_builder<Gen>::compile_direct_hoisted(
+      std::declval<const typename ashape::guard_expr&>(),
       std::declval<hoisted_reads&>()));
 
   // ---- plan construction --------------------------------------------------
@@ -702,16 +789,24 @@ class instantiated_action final : public action_instance {
 
     // Compile the single-locality relax kernel when the shape admits it.
     if constexpr (kFastShape) {
-      auto& a0 = std::get<0>(std::get<0>(def.whens).mods);
+      auto& w0 = std::get<0>(def.whens);
+      auto& a0 = std::get<0>(w0.mods);
       fast_pm_ = a0.target.pm;
       fast_idx_.emplace(plan_builder<Gen>::compile_direct(a0.target.idx));
       // The proposed value hoists its v-indexed reads out of the edge loop
       // (fast_generate runs fast_hoists_ once per application) — the same
-      // value economy as a hand-written relax handler. DPG_PATTERN_HOIST=0
-      // pre-fills the arena budget so every read falls back to the direct
-      // per-edge access (measurement escape hatch).
-      fast_val_.emplace(
-          plan_builder<Gen>::compile_direct_hoisted(a0.value, fast_hoists_));
+      // value economy as a hand-written relax handler. The accumulate lane
+      // also evaluates its guard at the sender, from the same hoisted
+      // slots.
+      if constexpr (kAccum) {
+        fast_val_.emplace(plan_builder<Gen>::compile_direct_hoisted(
+            std::get<0>(a0.args), fast_hoists_));
+        fast_guard_.emplace(
+            plan_builder<Gen>::compile_direct_hoisted(w0.cond, fast_hoists_));
+      } else {
+        fast_val_.emplace(
+            plan_builder<Gen>::compile_direct_hoisted(a0.value, fast_hoists_));
+      }
       use_fast_ = detail::resolve_toggle(static_cast<int>(opts.fast_path),
                                          "DPG_PATTERN_FASTPATH");
       fast_local_ = merged_;  // v-homed target: apply in place, no message
@@ -722,7 +817,8 @@ class instantiated_action final : public action_instance {
                    detail::resolve_toggle(static_cast<int>(opts.batch_kernel),
                                           "DPG_PATTERN_BATCH");
       // Sender-side combining likewise needs a wire lane to cache on, and
-      // only the fast shape knows its own monotone comparator.
+      // only the fast shape knows its own monotone comparator (or, on the
+      // accumulate lane, its reducer's combine).
       use_reduce_ = use_fast_ && !fast_local_ &&
                     detail::resolve_toggle(static_cast<int>(opts.fast_reduction),
                                            "DPG_PATTERN_REDUCE");
@@ -745,6 +841,7 @@ class instantiated_action final : public action_instance {
     plan_.fast_path = use_fast_;
     plan_.batch_kernel = use_batch_;
     plan_.fast_reduction = use_reduce_;
+    plan_.accumulate = kAccum && use_fast_;
 
     compute_wire_layouts(pb, step_pos, kFinal);
   }
@@ -944,11 +1041,11 @@ class instantiated_action final : public action_instance {
       if (use_fast_) {
         // Compiled relax kernel: one minimal message type, or none when the
         // target is the invocation vertex itself (fully local application).
-        fast_label_ = name_ + ".relax";
-        batch_label_ = name_ + ".relax.batch";
+        fast_label_ = name_ + (kAccum ? ".accum" : ".relax");
+        batch_label_ = fast_label_ + ".batch";
         if (!fast_local_) {
           fast_msg_ = &tp_->make_message_type<fast_rec>(
-              name_ + ".relax",
+              fast_label_,
               [this](ampp::transport_context& ctx, const fast_rec& r) {
                 fast_handle(ctx, r);
               },
@@ -965,11 +1062,21 @@ class instantiated_action final : public action_instance {
           // before they reach an envelope. Sound for the same reason the
           // batch pre-filter is: the losing proposal of a monotone pair can
           // never win a CAS the surviving proposal would lose.
-          if (use_reduce_)
+          const auto key = [](const fast_rec& r) {
+            return static_cast<std::uint64_t>(r.loc);
+          };
+          if constexpr (kAccum) {
+            // The accumulate lane's combine is the reducer's own: two
+            // pending contributions to one target merge into their sum (a
+            // Pregel combiner), exact because the reducer is associative
+            // and commutative.
+            if (use_reduce_)
+              fast_msg_->enable_reduction(key, [](const fast_rec& a, const fast_rec& b) {
+                return fast_rec{a.loc, fshape::reducer_type::combine(a.val, b.val)};
+              });
+          } else if (use_reduce_)
             fast_msg_->enable_reduction(
-                [](const fast_rec& r) {
-                  return static_cast<std::uint64_t>(r.loc);
-                },
+                key,
                 [](const fast_rec& a, const fast_rec& b) {
                   using VT = typename fshape::value_type;
                   bool b_wins;
@@ -1062,6 +1169,8 @@ class instantiated_action final : public action_instance {
 
   void fast_apply(ampp::transport_context& ctx, const gather_state& s) {
     if constexpr (kFastShape) {
+      if constexpr (kAccum)
+        if (!static_cast<bool>((*fast_guard_)(s))) return;
       fast_rec r;
       r.loc = (*fast_idx_)(s);
       r.val = static_cast<typename fshape::value_type>((*fast_val_)(s));
@@ -1081,8 +1190,8 @@ class instantiated_action final : public action_instance {
     }
   }
 
-  /// CAS + modification accounting + work hook for one relax record — the
-  /// shared tail of the per-record and batch paths.
+  /// CAS (or reducer apply) + modification accounting + work hook for one
+  /// fast record — the shared tail of the per-record and batch paths.
   void fast_commit(ampp::transport_context& ctx, graph::vertex_id loc,
                    typename fshape::value_type val) {
     if constexpr (kFastShape) {
@@ -1097,7 +1206,11 @@ class instantiated_action final : public action_instance {
   void fast_commit_slot(ampp::transport_context& ctx, graph::vertex_id loc,
                         typename fshape::value_type& slot,
                         typename fshape::value_type val) {
-    if constexpr (kFastShape) {
+    if constexpr (kAccum) {
+      fshape::reducer_type::apply_atomic(slot, val);
+      mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
+      if (fast_dep_ && hook_) hook_(ctx, loc);
+    } else if constexpr (kFastShape) {
       const bool applied = pmap::atomic_update_if(
           slot, val,
           [](const auto& cur, const auto& prop) { return fshape::cmp(cur, prop); });
@@ -1150,6 +1263,10 @@ class instantiated_action final : public action_instance {
       core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
       core.batch_records.fetch_add(n, std::memory_order_relaxed);
       using VT = typename fshape::value_type;
+      if constexpr (kAccum) {
+        accum_batch(ctx, data, n);
+        return;
+      }
       constexpr bool k16 = sizeof(fast_rec) == 16 && sizeof(VT) == 8 &&
                            sizeof(graph::vertex_id) == 8;
       constexpr bool kF64 = std::is_same_v<VT, double>;
@@ -1215,6 +1332,31 @@ class instantiated_action final : public action_instance {
     }
   }
 
+  /// Accumulate-lane envelope kernel: scatter-adds a whole envelope into
+  /// the owned shard with one atomic reducer apply per record — no lock
+  /// map, no per-record dispatch, the shard resolved once per envelope
+  /// (the same hoisting as the relax kernel). Records need no pre-filter:
+  /// every contribution applies. One modification-counter bump covers the
+  /// envelope; the work hook (when the pattern has a dependency) still
+  /// fires per record, exactly as fast_commit would.
+  void accum_batch(ampp::transport_context& ctx, const std::byte* data,
+                   std::uint32_t n) {
+    if constexpr (kAccum) {
+      using VT = typename fshape::value_type;
+      const std::span<VT> shard = fast_pm_->local(ctx.rank());
+      const graph::distribution& dd = g_->dist();
+      const bool hook = fast_dep_ && static_cast<bool>(hook_);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        fast_rec r;
+        std::memcpy(&r, data + i * sizeof(fast_rec), sizeof(fast_rec));
+        DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
+        fshape::reducer_type::apply_atomic(shard[dd.local_index(r.loc)], r.val);
+        if (hook) hook_(ctx, r.loc);
+      }
+      mods_[ctx.rank()].n.fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+
   void run_gather(ampp::transport_context& ctx, std::size_t k, gather_state& s) {
     obs::trace_span sp(&tp_->obs().trace(), "plan", hop_labels_[k].c_str(), ctx.rank());
     for (const auto& read : hops_[k].reads) read(s);
@@ -1276,6 +1418,7 @@ class instantiated_action final : public action_instance {
   typename fshape::pm_type* fast_pm_ = nullptr;
   std::optional<fast_idx_fn_t> fast_idx_;
   std::optional<fast_val_fn_t> fast_val_;
+  std::optional<fast_guard_fn_t> fast_guard_;  ///< accumulate lane: sender-side guard
   ampp::message_type<fast_rec>* fast_msg_ = nullptr;
   hoisted_reads fast_hoists_;  ///< per-application invariant loads for fast_val_
   std::string fast_label_;
@@ -1314,7 +1457,10 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
   out += ": " + std::to_string(p.final_reads) + " synchronized read(s), " +
          std::to_string(p.conditions) + " condition(s)\n";
   out += std::string("  synchronization: ") +
-         (p.atomic_path ? "atomic compare-and-update" : "lock map") + "\n";
+         (p.accumulate    ? "atomic reducer apply (accumulate lane)"
+          : p.atomic_path ? "atomic compare-and-update"
+                          : "lock map") +
+         "\n";
   out += "  dependencies: " + std::string(p.has_dependencies ? "yes (work hook fires)"
                                                              : "none") + "\n";
   out += "  messages per application: " + std::to_string(p.messages_per_application()) +
@@ -1326,7 +1472,7 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
     for (std::size_t i = 0; i < p.wire_bytes.size(); ++i) {
       std::string label;
       if (p.fast_path)
-        label = "relax";
+        label = p.accumulate ? "accum" : "relax";
       else if (!p.final_merged && i + 1 == p.wire_bytes.size())
         label = "eval";
       else
@@ -1336,14 +1482,19 @@ inline std::string explain(const std::string& action_name, const plan_info& p) {
   }
   out += " (full gather_state = " + std::to_string(sizeof(gather_state)) + "B)\n";
   out += "  gather read CSE: " + std::to_string(p.cse_hits) + " shared slot(s)\n";
+  const char* lane = p.accumulate ? "accumulate" : "relax";
   out += std::string("  fast path: ") +
-         (p.fast_path ? "compiled single-locality relax kernel" : "off") + "\n";
+         (p.fast_path ? std::string("compiled single-locality ") + lane + " kernel"
+                      : std::string("off")) +
+         "\n";
   out += std::string("  batch kernel: ") +
-         (p.batch_kernel ? "whole-envelope SIMD relax (runtime ISA dispatch)"
-                         : "off") +
+         (!p.batch_kernel ? "off"
+          : p.accumulate  ? "whole-envelope atomic scatter-add"
+                          : "whole-envelope SIMD relax (runtime ISA dispatch)") +
          "\n";
   out += std::string("  sender reduction: ") +
-         (p.fast_reduction ? "combining cache on the relax lane" : "off") +
+         (p.fast_reduction ? std::string("combining cache on the ") + lane + " lane"
+                           : std::string("off")) +
          "\n";
   return out;
 }

@@ -588,6 +588,29 @@ class analyzer {
       }
     }
 
+    // Accumulate lane: one condition whose single modification is the
+    // reducer update `pmap[idx].add(arg)` on a numeric vertex map, homed
+    // at the generator end, with guard and argument readable at v
+    // (mirrors detail::accum_shape and the `plus` reducer tag).
+    if (act_.conditions.size() == 1 && act_.conditions[0].mods.size() == 1) {
+      const condition& c = act_.conditions[0];
+      const modification& m = c.mods[0];
+      const parsed_property* tp = pmap_of(*m.target);
+      const bool numeric = tp->type == value_kind::real || tp->type == value_kind::integer;
+      if (!m.is_assignment && m.method == "add" && numeric && tp->on_vertices &&
+          first_mod_arg_numeric_ &&
+          classify_index(*m.target->children[0]).k == home::kind::at_gen &&
+          reads_all_at_v(*m.arguments[0]) && reads_all_at_v(*c.guard)) {
+        out.fast_path = pattern::detail::resolve_toggle(0, "DPG_PATTERN_FASTPATH");
+        out.accumulate = out.fast_path;
+        out.batch_kernel = out.fast_path && !out.final_merged &&
+                           pattern::detail::resolve_toggle(0, "DPG_PATTERN_BATCH");
+        out.fast_reduction =
+            out.fast_path && !out.final_merged &&
+            pattern::detail::resolve_toggle(0, "DPG_PATTERN_REDUCE");
+      }
+    }
+
     compute_wire_bytes(out, rpos, kFinal);
     return out;
   }
@@ -598,8 +621,8 @@ class analyzer {
   void compute_wire_bytes(analyzed_action& out, std::vector<std::size_t>& rpos,
                           std::size_t kFinal) const {
     if (out.fast_path) {
-      // relax record: destination vertex + 8-byte proposed value; none at
-      // all when the target is the invocation vertex itself.
+      // relax/accumulate record: destination vertex + 8-byte value; none
+      // at all when the target is the invocation vertex itself.
       if (!out.final_merged) out.wire_bytes.push_back(16);
       return;
     }
@@ -937,6 +960,10 @@ class analyzer {
     // EDSL compiles each value expression exactly once.
     std::vector<value_kind> arg_kinds;
     for (const auto& a : m.arguments) arg_kinds.push_back(walk(*a));
+    if (!have_ml_)
+      first_mod_arg_numeric_ =
+          arg_kinds.size() == 1 &&
+          (arg_kinds[0] == value_kind::real || arg_kinds[0] == value_kind::integer);
     if (m.is_assignment) {
       const value_kind rk = arg_kinds[0];
       if (pm->type != value_kind::opaque && rk != pm->type &&
@@ -965,6 +992,7 @@ class analyzer {
   std::set<std::string> read_pmaps_, written_pmaps_;
   home ml_{};
   bool have_ml_ = false;
+  bool first_mod_arg_numeric_ = false;  ///< the first modification's one argument is a number
 };
 
 }  // namespace
@@ -991,6 +1019,7 @@ std::string explain(const analyzed_action& a) {
   info.fast_path = a.fast_path;
   info.batch_kernel = a.batch_kernel;
   info.fast_reduction = a.fast_reduction;
+  info.accumulate = a.accumulate;
   info.cse_hits = a.cse_hits;
   info.wire_bytes = a.wire_bytes;
   return pattern::explain(a.name, info);

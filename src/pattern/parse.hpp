@@ -31,9 +31,12 @@
 // vertex-set property map (`generator u : preds;`). Aliases substitute
 // textually-by-AST, exactly like the paper ("using an alias is the same as
 // pasting in the expression"). Conditions chain as if / else-if. A
-// modification is either an assignment `pmap[idx] = expr;` or an opaque
-// in-place call `pmap[idx].update(args...);` (the grammar's general
-// modification — the method name is not interpreted).
+// modification is either an assignment `pmap[idx] = expr;` or an in-place
+// call `pmap[idx].update(args...);` (the grammar's general modification).
+// One method name is interpreted: `pmap[idx].add(x);` on a numeric vertex
+// map is the library `plus` reducer, the textual form of the EDSL's
+// `modify(pmap(idx), plus{}, x)` — it can compile to the accumulate lane.
+// Every other method name is opaque.
 #pragma once
 
 #include <memory>
@@ -156,6 +159,7 @@ struct analyzed_action {
   bool fast_path = false;           ///< single-locality relax kernel engaged
   bool batch_kernel = false;        ///< whole-envelope SIMD batch dispatch engaged
   bool fast_reduction = false;      ///< sender-side combining cache engaged
+  bool accumulate = false;          ///< the fast lane is the reducer accumulate kernel
   std::size_t cse_hits = 0;         ///< duplicate reads sharing one arena slot
   std::vector<std::size_t> wire_bytes;  ///< bytes per synthesized message
 

@@ -93,5 +93,57 @@ TEST(PageRank, HubCollectsMoreRankThanLeaves) {
   for (vertex_id v = 1; v < n; ++v) EXPECT_GT(pr.ranks()[0], pr.ranks()[v]);
 }
 
+TEST(PageRank, AccumulateLaneMatchesGenericRoute) {
+  // The scatter's `plus` reducer compiles to the accumulate lane (sender
+  // combining + atomic scatter-add); with the fast path off the same
+  // pattern takes the generic gather/evaluate/lock-map route. The two
+  // differ only in the association order of each vertex's sum.
+  const vertex_id n = 512;
+  const auto edges = graph::symmetrize(graph::rmat({.scale = 9, .edge_factor = 8}, 77));
+  distributed_graph g(n, edges, distribution::cyclic(n, 2));
+  constexpr int kIters = 20;
+  using tog = pattern::compile_options::toggle;
+
+  ampp::transport tp_fast(ampp::transport_config{.n_ranks = 2});
+  pagerank_solver fast(tp_fast, g, {.fast_path = tog::on, .fast_reduction = tog::on});
+  ASSERT_TRUE(fast.plan().accumulate);
+  ampp::transport tp_gen(ampp::transport_config{.n_ranks = 2});
+  pagerank_solver generic(tp_gen, g, {.fast_path = tog::off});
+  ASSERT_FALSE(generic.plan().fast_path);
+
+  tp_fast.run([&](ampp::transport_context& ctx) { fast.run(ctx, 0.85, kIters); });
+  tp_gen.run([&](ampp::transport_context& ctx) { generic.run(ctx, 0.85, kIters); });
+  for (vertex_id v = 0; v < n; ++v)
+    ASSERT_NEAR(fast.ranks()[v], generic.ranks()[v], 1e-12) << "v=" << v;
+
+  // Sender-side combining: per iteration, the accumulate lane ships fewer
+  // records than there are edges (the generic route ships one per edge).
+  std::uint64_t scattering_edges = 0;
+  for (vertex_id v = 0; v < n; ++v) scattering_edges += g.out_degree(v);
+  const std::uint64_t per_iter_fast = tp_fast.stats().messages_sent.load() / kIters;
+  const std::uint64_t per_iter_generic = tp_gen.stats().messages_sent.load() / kIters;
+  EXPECT_EQ(per_iter_generic, scattering_edges);
+  EXPECT_LT(per_iter_fast, scattering_edges);
+  EXPECT_GT(tp_fast.stats().cache_hits.load(), 0u);
+}
+
+TEST(PageRank, AccumulateLaneUnderHandlerThreads) {
+  // Helper threads dispatch accumulate envelopes concurrently with the
+  // SPMD thread, so several threads scatter-add into one shard at once:
+  // the lane's atomic apply (not the lock map) must keep every share.
+  const vertex_id n = 300;
+  const auto edges = graph::symmetrize(graph::erdos_renyi(n, 3000, 9));
+  distributed_graph g(n, edges, distribution::cyclic(n, 2));
+  const auto oracle = pagerank(g, 0.85, 15);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2, .handler_threads = 2});
+  pagerank_solver pr(tp, g);
+  ASSERT_TRUE(pr.plan().accumulate);
+  for (int rep = 0; rep < 3; ++rep) {
+    tp.run([&](ampp::transport_context& ctx) { pr.run(ctx, 0.85, 15); });
+    for (vertex_id v = 0; v < n; ++v)
+      ASSERT_NEAR(pr.ranks()[v], oracle[v], 1e-12) << "rep=" << rep << " v=" << v;
+  }
+}
+
 }  // namespace
 }  // namespace dpg::algo

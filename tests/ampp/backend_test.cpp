@@ -126,6 +126,32 @@ void drain_expect(wire_backend& b, std::size_t want) {
   chk.drain(want);
 }
 
+/// Two ranks flood each other with `frames` frames of `bytes` each, from
+/// two threads that never poll between sends: the volume far exceeds the
+/// pipe, so both senders block on a full outbound pipe at once. Only the
+/// stall sink (a blocked send draining its own inbound pipe) lets either
+/// make progress; without it the flood deadlocks until the ring-full
+/// timeout (shm) or forever (tcp).
+void mutual_flood(backend_config::kind_t kind, std::uint32_t ring_bytes,
+                  std::size_t frames, std::uint32_t bytes) {
+  auto m = make_machine(kind, 2, ring_bytes);
+  std::vector<std::future<std::size_t>> ranks;
+  for (rank_t r = 0; r < 2; ++r)
+    ranks.push_back(std::async(std::launch::async, [&, r] {
+      frame_checker chk(*m[r]);
+      m[r]->set_stall_sink(chk.sink());
+      for (std::uint64_t seq = 0; seq < frames; ++seq) {
+        const auto payload = pattern_payload(bytes, seq);
+        m[r]->send(1 - r, payload_header(r, seq, bytes), payload.data());
+      }
+      chk.drain(frames);
+      m[r]->set_stall_sink(nullptr);  // the sink refers to chk
+      return chk.got();
+    }));
+  // get() rethrows a sender's wire_error (the ring-full timeout).
+  for (auto& f : ranks) EXPECT_EQ(f.get(), frames);
+}
+
 // ---- shm ring ------------------------------------------------------------
 
 TEST(ShmRingBackend, WrapAroundPreservesFramesAndOrder) {
@@ -168,6 +194,12 @@ TEST(ShmRingBackend, AllToAllUnderConcurrency) {
   for (auto& t : threads) t.join();
 }
 
+TEST(ShmRingBackend, MutualFloodDrainsInboundWhileBlocked) {
+  // 2 MiB each way through 64 KiB rings: each sender fills its outbound
+  // ring ~30 times over without ever calling poll() itself.
+  mutual_flood(backend_config::kind_t::shm_ring, 1u << 16, 1024, 2048);
+}
+
 TEST(ShmRingBackend, GeometryMismatchIsRejected) {
   // Rank 1 attaches with a different ring_bytes than the creator: the
   // segment-geometry check must throw rather than mis-index the rings.
@@ -199,6 +231,11 @@ TEST(TcpBackend, LargeFramesSurvivePartialReads) {
     m[0]->send(1, payload_header(0, seq, kBytes), payload.data());
   }
   consumer.join();
+}
+
+TEST(TcpBackend, MutualFloodDrainsInboundWhileBlocked) {
+  // 32 MiB each way: well past loopback socket buffers in both directions.
+  mutual_flood(backend_config::kind_t::tcp, 1u << 16, 512, 64 * 1024);
 }
 
 TEST(TcpBackend, FourRankMeshDelivers) {

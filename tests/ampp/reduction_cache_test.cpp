@@ -7,6 +7,8 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "ampp/epoch.hpp"
@@ -134,6 +136,144 @@ TEST_F(ReductionCacheTest, WithoutReductionAllMessagesDeliver) {
   EXPECT_EQ(delivered.load(), 100u);
   EXPECT_EQ(tp.stats().cache_hits.load(), 0u);
 }
+
+// ---- counter exactness ------------------------------------------------------
+//
+// Hits and evictions are counted lane-locally and published when the lane
+// flushes; these tests pin that the published totals are exact — globally
+// and per epoch — while every rank hammers every other rank's lanes with
+// colliding keys.
+
+struct weighted_msg {
+  std::uint64_t key;
+  std::uint64_t weight;  // sum-combined: conserved through the cache
+};
+
+/// Replays one lane's key sequence through a direct-mapped cache of
+/// 2^bits slots with the transport's Fibonacci slot hash, from an empty
+/// cache: the exact (hits, evictions) the lane must report.
+std::pair<std::uint64_t, std::uint64_t> replay_lane(const std::vector<std::uint64_t>& keys,
+                                                    unsigned bits) {
+  std::vector<std::optional<std::uint64_t>> slots(std::size_t{1} << bits);
+  std::uint64_t hits = 0, evictions = 0;
+  for (const std::uint64_t k : keys) {
+    auto& slot = slots[(k * 0x9e3779b97f4a7c15ULL) >> (64 - bits)];
+    if (slot == k) {
+      ++hits;
+      continue;
+    }
+    if (slot) ++evictions;
+    slot = k;
+  }
+  return {hits, evictions};
+}
+
+/// Lane (src -> dest) sends each key three times in a row, cycling through
+/// more keys than the cache has slots: plenty of hits and evictions.
+std::vector<std::uint64_t> lane_keys(rank_t src, rank_t dest, std::uint64_t sends,
+                                     std::uint64_t salt) {
+  constexpr std::uint64_t kKeys = 48;
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t i = 0; i < sends; ++i)
+    keys.push_back(((i / 3) * 13 + src * 5 + dest + salt) % kKeys);
+  return keys;
+}
+
+constexpr unsigned kExactBits = 4;  // 16 slots per lane
+
+message_type<weighted_msg>& make_weighted(transport& tp, std::atomic<std::uint64_t>& weight) {
+  auto& mt = tp.make_message_type<weighted_msg>(
+      "weighted", [&weight](transport_context&, const weighted_msg& m) {
+        weight.fetch_add(m.weight, std::memory_order_relaxed);
+      });
+  mt.enable_reduction([](const weighted_msg& m) { return m.key; },
+                      [](const weighted_msg& a, const weighted_msg& b) {
+                        return weighted_msg{a.key, a.weight + b.weight};
+                      },
+                      kExactBits);
+  return mt;
+}
+
+class ReductionCounterExactness : public ::testing::TestWithParam<rank_t> {};
+
+TEST_P(ReductionCounterExactness, AllToAllCollidingKeys) {
+  const rank_t ranks = GetParam();
+  constexpr std::uint64_t kSends = 600;  // per (src, dest) lane, self included
+  // Small coalescing: capacity flushes (which publish but keep the cache)
+  // interleave with the sends, not just the epoch-end spill.
+  transport tp(transport_config{.n_ranks = ranks, .coalescing_size = 16});
+  std::atomic<std::uint64_t> weight{0};
+  auto& mt = make_weighted(tp, weight);
+  tp.run([&](transport_context& ctx) {
+    epoch ep(ctx);
+    for (rank_t d = 0; d < ranks; ++d)
+      for (const std::uint64_t k : lane_keys(ctx.rank(), d, kSends, 0))
+        mt.send(ctx, d, weighted_msg{k, 1});
+  });
+
+  std::uint64_t want_hits = 0, want_evictions = 0;
+  for (rank_t s = 0; s < ranks; ++s)
+    for (rank_t d = 0; d < ranks; ++d) {
+      const auto [h, e] = replay_lane(lane_keys(s, d, kSends, 0), kExactBits);
+      want_hits += h;
+      want_evictions += e;
+    }
+  const std::uint64_t issued = std::uint64_t{ranks} * ranks * kSends;
+  ASSERT_GT(want_hits, 0u);
+  ASSERT_GT(want_evictions, 0u);
+  const auto& st = tp.stats();
+  EXPECT_EQ(st.cache_hits.load() + st.messages_sent.load(), issued);
+  EXPECT_EQ(st.cache_hits.load(), want_hits);
+  EXPECT_EQ(st.cache_evictions.load(), want_evictions);
+  EXPECT_EQ(weight.load(), issued) << "combining lost or duplicated weight";
+  EXPECT_TRUE(tp.occupancy_consistent());
+}
+
+TEST_P(ReductionCounterExactness, EpochRowsAttributeHitsToTheirEpoch) {
+  const rank_t ranks = GetParam();
+  transport tp(transport_config{.n_ranks = ranks, .coalescing_size = 16});
+  std::atomic<std::uint64_t> weight{0};
+  auto& mt = make_weighted(tp, weight);
+  // Two epochs with different traffic volumes (and key salts), so their
+  // expected hit/eviction counts differ.
+  constexpr std::uint64_t kSends[2] = {300, 900};
+  tp.run([&](transport_context& ctx) {
+    for (int e = 0; e < 2; ++e) {
+      epoch ep(ctx);
+      // Rank 0 opens the epoch's stats window after the entry barrier; a
+      // second barrier keeps every rank's first flush inside that window.
+      ctx.barrier();
+      for (rank_t d = 0; d < ranks; ++d)
+        for (const std::uint64_t k : lane_keys(ctx.rank(), d, kSends[e], e))
+          mt.send(ctx, d, weighted_msg{k, 1});
+    }
+  });
+
+  const auto recs = tp.obs().epoch_records();
+  ASSERT_EQ(recs.size(), 2u);
+  for (int e = 0; e < 2; ++e) {
+    std::uint64_t want_hits = 0, want_evictions = 0;
+    for (rank_t s = 0; s < ranks; ++s)
+      for (rank_t d = 0; d < ranks; ++d) {
+        const auto [h, ev] = replay_lane(lane_keys(s, d, kSends[e], e), kExactBits);
+        want_hits += h;
+        want_evictions += ev;
+      }
+    const auto& c = recs[e].delta.core;
+    EXPECT_EQ(c.cache_hits, want_hits) << "epoch " << e;
+    EXPECT_EQ(c.cache_evictions, want_evictions) << "epoch " << e;
+    EXPECT_EQ(c.cache_hits + c.messages_sent, std::uint64_t{ranks} * ranks * kSends[e])
+        << "epoch " << e;
+  }
+  // The rendered summary carries the same rows.
+  EXPECT_NE(tp.obs().epoch_summary().find(std::to_string(recs[1].delta.core.cache_hits)),
+            std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, ReductionCounterExactness, ::testing::Values(2, 4),
+                         [](const auto& info) {
+                           return std::to_string(info.param) + "ranks";
+                         });
 
 }  // namespace
 }  // namespace dpg::ampp

@@ -247,5 +247,45 @@ TEST(Explain, PlanInfoCountsConditions) {
   EXPECT_EQ(act->plan().conditions, 2);
 }
 
+TEST(Explain, AccumulatePlanShowsReducerLane) {
+  world w;
+  pmap::vertex_property_map<double> next(w.g, 0.0), share(w.g, 0.0);
+  property N(next), S(share);
+  auto scatter = instantiate(
+      w.tp, w.g, w.locks,
+      make_action("pr.scatter", out_edges_gen{},
+                  when(lit(true), modify(N(trg(e_)), plus{}, S(v_)))),
+      compile_options{.fast_path = compile_options::toggle::on,
+                      .batch_kernel = compile_options::toggle::on,
+                      .fast_reduction = compile_options::toggle::on});
+  const plan_info& p = scatter->plan();
+  EXPECT_TRUE(p.fast_path);
+  EXPECT_TRUE(p.fast_reduction);
+  EXPECT_TRUE(p.batch_kernel);
+  ASSERT_EQ(p.wire_bytes.size(), 1u);
+  EXPECT_EQ(p.wire_bytes[0], 16u);
+  const std::string text = explain(scatter->name(), p);
+  EXPECT_NE(text.find("synchronization: atomic reducer apply (accumulate lane)"),
+            std::string::npos);
+  EXPECT_NE(text.find("compiled wire payloads: accum=16B"), std::string::npos);
+  EXPECT_NE(text.find("fast path: compiled single-locality accumulate kernel"),
+            std::string::npos);
+  EXPECT_NE(text.find("batch kernel: whole-envelope atomic scatter-add"),
+            std::string::npos);
+  EXPECT_NE(text.find("sender reduction: combining cache on the accumulate lane"),
+            std::string::npos);
+
+  // An arbitrary lambda is opaque: generic route, lock map.
+  auto opaque = instantiate(
+      w.tp, w.g, w.locks,
+      make_action("opaque", out_edges_gen{},
+                  when(lit(true), modify(N(trg(e_)),
+                                         [](double& acc, double x) { acc += x; },
+                                         S(v_)))));
+  const std::string otext = explain(opaque->name(), opaque->plan());
+  EXPECT_NE(otext.find("synchronization: lock map"), std::string::npos);
+  EXPECT_NE(otext.find("fast path: off"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace dpg::pattern

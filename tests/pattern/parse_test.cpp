@@ -114,6 +114,65 @@ TEST(Parse, ParserPlanEqualsEdslPlan) {
   EXPECT_EQ(explain(analyzed), pattern::explain("relax", edsl));
 }
 
+constexpr const char* kScatterSource = R"(
+pattern PR {
+  vertex_property<double> next;
+  vertex_property<double> share;
+
+  action scatter(v) {
+    generator e : out_edges;
+    when (true) {
+      next[trg(e)].add(share[v]);
+    }
+  }
+}
+)";
+
+TEST(Parse, ReducerAddEqualsEdslAccumulatePlan) {
+  // `pmap[idx].add(x)` is the textual plus reducer: the analyzer must
+  // report the same accumulate lane as the EDSL's plus{} modify, down to
+  // the rendered explain text.
+  const auto analyzed = analyze(parse_pattern(kScatterSource)).actions[0];
+  EXPECT_TRUE(analyzed.fast_path);
+  EXPECT_TRUE(analyzed.accumulate);
+  EXPECT_TRUE(analyzed.fast_reduction);
+  EXPECT_TRUE(analyzed.batch_kernel);
+  ASSERT_EQ(analyzed.wire_bytes.size(), 1u);
+  EXPECT_EQ(analyzed.wire_bytes[0], 16u);
+
+  graph::distributed_graph g(8, graph::path_graph(8),
+                             graph::distribution::cyclic(8, 2));
+  pmap::vertex_property_map<double> next_map(g, 0.0), share_map(g, 0.0);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  property next(next_map);
+  property share(share_map);
+  auto scatter = instantiate(tp, g, locks,
+                             make_action("scatter", out_edges_gen{},
+                                         when(lit(true), modify(next(trg(e_)), plus{},
+                                                                share(v_)))));
+  const plan_info& edsl = scatter->plan();
+  EXPECT_EQ(analyzed.fast_path, edsl.fast_path);
+  EXPECT_EQ(analyzed.accumulate, edsl.accumulate);
+  EXPECT_EQ(analyzed.batch_kernel, edsl.batch_kernel);
+  EXPECT_EQ(analyzed.fast_reduction, edsl.fast_reduction);
+  EXPECT_EQ(analyzed.wire_bytes, edsl.wire_bytes);
+  EXPECT_EQ(analyzed.arena_bytes, edsl.arena_bytes);
+  EXPECT_EQ(analyzed.final_reads, edsl.final_reads);
+  EXPECT_EQ(explain(analyzed), pattern::explain("scatter", edsl));
+}
+
+TEST(Parse, OtherMethodNamesStayOpaque) {
+  // Any method but `add` is an uninterpreted update: generic route.
+  std::string src = kScatterSource;
+  src.replace(src.find(".add("), 5, ".accumulate(");
+  const auto a = analyze(parse_pattern(src)).actions[0];
+  EXPECT_FALSE(a.fast_path);
+  EXPECT_FALSE(a.accumulate);
+  EXPECT_FALSE(a.batch_kernel);
+  EXPECT_NE(explain(a).find("synchronization: lock map"), std::string::npos);
+}
+
 TEST(Parse, CcPatternAnalyzes) {
   const auto analyzed = analyze(parse_pattern(kCcSource));
   ASSERT_EQ(analyzed.actions.size(), 2u);

@@ -258,5 +258,123 @@ TEST(Planner, ArenaExactlyFullCompiles) {
   EXPECT_EQ(act->plan().arena_bytes, 48u);
 }
 
+TEST(Planner, ReducerScatterCompilesToAccumulateLane) {
+  // modify(next(trg(e)), plus{}, share(v)): a library reducer on a
+  // generator-homed slot with a v-computable argument — the accumulate
+  // lane: 16-byte records, sender combining, whole-envelope scatter-add.
+  const vertex_id n = 64;
+  distributed_graph g(n, graph::symmetrize(graph::erdos_renyi(n, 400, 3)),
+                      distribution::cyclic(n, 2));
+  pmap::vertex_property_map<double> next_fast(g, 0.0), next_gen(g, 0.0), share(g, 0.0);
+  for (vertex_id v = 0; v < n; ++v) share[v] = static_cast<double>(v % 7 + 1);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  property S(share), NF(next_fast), NG(next_gen);
+  using tog = compile_options::toggle;
+  auto fast = instantiate(tp, g, locks,
+                          make_action("acc", out_edges_gen{},
+                                      when(lit(true), modify(NF(trg(e_)), plus{}, S(v_)))),
+                          compile_options{.fast_path = tog::on,
+                                          .batch_kernel = tog::on,
+                                          .fast_reduction = tog::on});
+  auto generic = instantiate(
+      tp, g, locks,
+      make_action("acc_generic", out_edges_gen{},
+                  when(lit(true), modify(NG(trg(e_)), plus{}, S(v_)))),
+      compile_options{.fast_path = tog::off});
+
+  const plan_info& p = fast->plan();
+  EXPECT_TRUE(p.fast_path);
+  EXPECT_TRUE(p.accumulate);
+  EXPECT_TRUE(p.fast_reduction);
+  EXPECT_TRUE(p.batch_kernel);
+  EXPECT_FALSE(p.atomic_path);  // not a compare-and-update
+  EXPECT_EQ(p.final_reads, 0);
+  ASSERT_EQ(p.wire_bytes.size(), 1u);
+  EXPECT_EQ(p.wire_bytes[0], 16u);
+  EXPECT_FALSE(generic->plan().fast_path);
+  EXPECT_FALSE(generic->plan().accumulate);
+
+  tp.run([&](ampp::transport_context& ctx) {
+    ampp::epoch ep(ctx);
+    for (vertex_id v = 0; v < n; ++v)
+      if (g.owner(v) == ctx.rank()) {
+        (*fast)(ctx, v);
+        (*generic)(ctx, v);
+      }
+  });
+  // Small integer shares: both routes' sums are exact, so bit-equal.
+  for (vertex_id v = 0; v < n; ++v) ASSERT_EQ(next_fast[v], next_gen[v]) << "v=" << v;
+  double total = 0;
+  for (vertex_id v = 0; v < n; ++v) total += next_fast[v];
+  double want = 0;
+  for (vertex_id v = 0; v < n; ++v) want += share[v] * static_cast<double>(g.out_degree(v));
+  EXPECT_EQ(total, want);
+}
+
+TEST(Planner, AccumulateLaneEvaluatesVGuardAtTheSender) {
+  // A guard that reads only at v is still the accumulate lane: the sender
+  // skips non-firing applications; an integer map accumulates exactly.
+  const vertex_id n = 32;
+  distributed_graph g(n, graph::complete_graph(n), distribution::cyclic(n, 3));
+  pmap::vertex_property_map<std::uint64_t> indeg(g, 0), active(g, 0);
+  for (vertex_id v = 0; v < n; ++v) active[v] = v % 2;
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 3});
+  property D(indeg), A(active);
+  auto count = instantiate(
+      tp, g, locks,
+      make_action("count", out_edges_gen{},
+                  when(A(v_) == lit<std::uint64_t>(1),
+                       modify(D(trg(e_)), plus{}, lit<std::uint64_t>(1)))));
+  EXPECT_TRUE(count->plan().accumulate);
+  tp.run([&](ampp::transport_context& ctx) {
+    ampp::epoch ep(ctx);
+    for (vertex_id v = 0; v < n; ++v)
+      if (g.owner(v) == ctx.rank()) (*count)(ctx, v);
+  });
+  // Every vertex hears from each odd vertex other than itself.
+  for (vertex_id v = 0; v < n; ++v) EXPECT_EQ(indeg[v], n / 2 - v % 2) << "v=" << v;
+}
+
+TEST(Planner, NonReducerModifyKeepsTheGenericRoute) {
+  // The same scatter with an arbitrary lambda is opaque to the compiler:
+  // no accumulate lane, the lock-map route with full evaluate messages.
+  // Likewise a reducer whose guard reads at the target cannot be decided
+  // at the sender.
+  const vertex_id n = 16;
+  distributed_graph g(n, graph::cycle_graph(n), distribution::cyclic(n, 2));
+  pmap::vertex_property_map<double> next(g, 0.0), share(g, 1.0);
+  pmap::lock_map locks(g.dist(), pmap::lock_scheme::per_vertex);
+  ampp::transport tp(ampp::transport_config{.n_ranks = 2});
+  property N(next), S(share);
+  auto lambda = instantiate(
+      tp, g, locks,
+      make_action("lambda", out_edges_gen{},
+                  when(lit(true), modify(N(trg(e_)),
+                                         [](double& acc, double x) { acc += x; },
+                                         S(v_)))));
+  auto remote_guard = instantiate(
+      tp, g, locks,
+      make_action("remote_guard", out_edges_gen{},
+                  when(S(trg(e_)) > lit(0.0), modify(N(trg(e_)), plus{}, S(v_)))));
+  for (const plan_info* p : {&lambda->plan(), &remote_guard->plan()}) {
+    EXPECT_FALSE(p->fast_path);
+    EXPECT_FALSE(p->accumulate);
+    EXPECT_FALSE(p->batch_kernel);
+    EXPECT_FALSE(p->fast_reduction);
+    EXPECT_FALSE(p->atomic_path);
+  }
+  tp.run([&](ampp::transport_context& ctx) {
+    ampp::epoch ep(ctx);
+    for (vertex_id v = 0; v < n; ++v)
+      if (g.owner(v) == ctx.rank()) {
+        (*lambda)(ctx, v);
+        (*remote_guard)(ctx, v);
+      }
+  });
+  for (vertex_id v = 0; v < n; ++v) EXPECT_EQ(next[v], 2.0) << "v=" << v;
+}
+
 }  // namespace
 }  // namespace dpg::pattern

@@ -76,21 +76,24 @@ launch_ids next_launch_ids() {
 
 std::string rankproc_cmd(const std::string& backend, unsigned ranks, unsigned rank,
                          const std::string& algo, std::uint64_t seed,
-                         const launch_ids& ids, const std::string& plan = "none") {
+                         const launch_ids& ids, const std::string& plan = "none",
+                         const std::string& extra = "") {
   std::string cmd = std::string(DPG_RANKPROC_PATH) + " --backend " + backend +
                     " --ranks " + std::to_string(ranks) + " --rank " +
                     std::to_string(rank) + " --algo " + algo + " --seed " +
                     std::to_string(seed) + " --session " + ids.session +
                     " --base-port " + std::to_string(ids.base_port);
   if (plan != "none") cmd += " --plan " + plan;
+  if (!extra.empty()) cmd += " " + extra;
   return cmd;
 }
 
 /// Runs the in-process machine (one subprocess hosting all ranks as
 /// threads) and returns its result hash.
 std::string run_inproc(unsigned ranks, const std::string& algo, std::uint64_t seed,
-                       const std::string& plan) {
-  proc p = launch(rankproc_cmd("inproc", ranks, 0, algo, seed, next_launch_ids(), plan));
+                       const std::string& plan, const std::string& extra = "") {
+  proc p = launch(
+      rankproc_cmd("inproc", ranks, 0, algo, seed, next_launch_ids(), plan, extra));
   const int rc = reap(p);
   EXPECT_EQ(rc, 0) << "inproc rankproc failed (plan=" << plan << "):\n" << p.out;
   return hash_of(p.out);
@@ -99,11 +102,12 @@ std::string run_inproc(unsigned ranks, const std::string& algo, std::uint64_t se
 /// Runs a full cross-process machine (one subprocess per rank) and returns
 /// rank 0's result hash.
 std::string run_cross(const std::string& backend, unsigned ranks,
-                      const std::string& algo, std::uint64_t seed) {
+                      const std::string& algo, std::uint64_t seed,
+                      const std::string& extra = "") {
   const launch_ids ids = next_launch_ids();
   std::vector<proc> procs(ranks);
   for (unsigned r = 0; r < ranks; ++r)
-    procs[r] = launch(rankproc_cmd(backend, ranks, r, algo, seed, ids));
+    procs[r] = launch(rankproc_cmd(backend, ranks, r, algo, seed, ids, "none", extra));
   bool ok = true;
   for (unsigned r = 0; r < ranks; ++r) {
     const int rc = reap(procs[r]);
@@ -137,6 +141,19 @@ TEST_P(BackendSweep, FixedPointsMatchAcrossWires) {
           << "cross-process fixed point diverged from the in-process oracle";
     }
   }
+}
+
+TEST(BackendSweepDefaultRing, SsspFloodFillsTheRing) {
+  // The library's default 1 MiB shm ring under a graph whose relax traffic
+  // overfills it in both directions at once: the two rank processes flood
+  // each other, which only finishes because a send blocked on a full ring
+  // drains its own inbound ring meanwhile. The fixed point must still be
+  // bit-identical to the in-process oracle.
+  const std::string big = "--vertices 16384 --edges 262144 --ring-bytes 0";
+  const std::string oracle = run_inproc(2, "sssp", 1, "none", big);
+  ASSERT_EQ(oracle.size(), 16u) << "oracle produced no hash";
+  EXPECT_EQ(run_cross("shm", 2, "sssp", 1, big), oracle)
+      << "default-ring shm fixed point diverged from the in-process oracle";
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, BackendSweep,

@@ -10,7 +10,9 @@
 // path, so the comparison exercises one code path end to end).
 //
 // The graph is the sim suite's: erdos_renyi(96, 480) from substream 1 of
-// the seed, cyclic distribution, deterministic edge weights. Identical
+// the seed, cyclic distribution, deterministic edge weights. --vertices /
+// --edges scale the same recipe up (enough traffic to fill a ring), and
+// --ring-bytes sizes the shm rings (0 keeps the library default). Identical
 // inputs on every rank process are the SPMD contract the wire backends
 // assume; everything downstream (message-type registration order, channel
 // assignment, collective generations) follows from it.
@@ -34,9 +36,6 @@ using graph::distributed_graph;
 using graph::distribution;
 using graph::vertex_id;
 
-constexpr vertex_id kN = 96;
-constexpr std::uint64_t kM = 480;
-
 struct options {
   ampp::backend_config::kind_t kind = ampp::backend_config::kind_t::inproc;
   ampp::rank_t ranks = 2;
@@ -46,6 +45,9 @@ struct options {
   std::string algo = "sssp";
   std::uint64_t seed = 1;
   std::string plan = "none";  // inproc only: fault plan name
+  vertex_id vertices = 96;
+  std::uint64_t edges = 480;
+  std::uint32_t ring_bytes = 1u << 16;  // 0: backend_config's default
 };
 
 [[noreturn]] void usage(const char* msg) {
@@ -53,7 +55,9 @@ struct options {
   std::cerr << "usage: rankproc --backend inproc|shm|tcp --ranks N [--rank R]\n"
                "                [--session S] [--base-port P] [--plan NAME]\n"
                "                --algo sssp|bfs|cc [--seed X]\n"
-               "  --plan (inproc only): none|scramble|lossy|chaos|control_chaos\n";
+               "                [--vertices N] [--edges M] [--ring-bytes B]\n"
+               "  --plan (inproc only): none|scramble|lossy|chaos|control_chaos\n"
+               "  --ring-bytes (shm only): power of two >= 16384; 0 = default\n";
   std::exit(2);
 }
 
@@ -89,11 +93,18 @@ options parse(int argc, char** argv) {
       o.seed = std::stoull(need(i));
     } else if (a == "--plan") {
       o.plan = need(i);
+    } else if (a == "--vertices") {
+      o.vertices = static_cast<vertex_id>(std::stoull(need(i)));
+    } else if (a == "--edges") {
+      o.edges = std::stoull(need(i));
+    } else if (a == "--ring-bytes") {
+      o.ring_bytes = static_cast<std::uint32_t>(std::stoul(need(i)));
     } else {
       usage(("unknown flag '" + a + "'").c_str());
     }
   }
   if (o.ranks < 1) usage("--ranks must be >= 1");
+  if (o.vertices < 2) usage("--vertices must be >= 2");
   if (o.rank >= o.ranks) usage("--rank out of range");
   if (o.algo != "sssp" && o.algo != "bfs" && o.algo != "cc") usage("unknown --algo");
   if (o.plan != "none" && o.kind != ampp::backend_config::kind_t::inproc)
@@ -120,7 +131,7 @@ ampp::transport_config make_config(const options& o) {
   // The sim-suite workload is tiny; small rings keep a 4-rank machine's
   // shm footprint near 1 MiB per channel so CI containers with a modest
   // /dev/shm never thrash.
-  bc.ring_bytes = 1u << 16;
+  if (o.ring_bytes != 0) bc.ring_bytes = o.ring_bytes;
   return ampp::transport_config{.n_ranks = o.ranks,
                                 .coalescing_size = 8,
                                 .seed = substream_seed(o.seed, 3),
@@ -149,9 +160,10 @@ std::vector<std::uint64_t> gather_values(ampp::transport& tp,
                                          std::uint64_t (*encode)(
                                              typename Map::value_type)) {
   const auto& d = g.dist();
-  std::vector<std::uint64_t> vals(kN, 0);
+  const vertex_id n = g.num_vertices();
+  std::vector<std::uint64_t> vals(n, 0);
   if (!tp.cross_process()) {
-    for (vertex_id v = 0; v < kN; ++v) vals[v] = encode(map[v]);
+    for (vertex_id v = 0; v < n; ++v) vals[v] = encode(map[v]);
     return vals;
   }
   const ampp::rank_t self = tp.self_rank();
@@ -189,20 +201,21 @@ std::uint64_t encode_vid(vertex_id v) { return static_cast<std::uint64_t>(v); }
 /// its minimum member so any valid CC run of the same graph hashes
 /// identically.
 void canonicalize_labels(std::vector<std::uint64_t>& vals) {
-  std::vector<std::uint64_t> minrep(kN, ~0ull);
-  for (vertex_id v = 0; v < kN; ++v) {
+  const auto n = static_cast<vertex_id>(vals.size());
+  std::vector<std::uint64_t> minrep(n, ~0ull);
+  for (vertex_id v = 0; v < n; ++v) {
     std::uint64_t& m = minrep[vals[v]];
     if (v < m) m = v;
   }
-  for (vertex_id v = 0; v < kN; ++v) vals[v] = minrep[vals[v]];
+  for (vertex_id v = 0; v < n; ++v) vals[v] = minrep[vals[v]];
 }
 
 std::vector<std::uint64_t> run_algo(const options& o) {
   const ampp::transport_config cfg = make_config(o);
   const bool symmetric = o.algo == "cc";
-  auto edges = graph::erdos_renyi(kN, kM, substream_seed(o.seed, 1));
+  auto edges = graph::erdos_renyi(o.vertices, o.edges, substream_seed(o.seed, 1));
   if (symmetric) edges = graph::symmetrize(edges);
-  distributed_graph g(kN, edges, distribution::cyclic(kN, o.ranks));
+  distributed_graph g(o.vertices, edges, distribution::cyclic(o.vertices, o.ranks));
 
   if (o.algo == "cc") {
     algo::cc_solver cc(g, cfg);
