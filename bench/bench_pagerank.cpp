@@ -35,6 +35,9 @@ void run_pattern(benchmark::State& state, pattern::compile_options copts) {
   state.counters["iters"] = kIters;
   state.counters["msgs_per_iter"] = static_cast<double>(d.core.messages_sent) /
                                     static_cast<double>(state.iterations() * kIters);
+  // One scatter per iteration visits every edge once: the per-iteration
+  // record count of the generic route, and the yardstick for the lane's.
+  state.counters["edges_per_iter"] = static_cast<double>(g.num_edges());
 }
 
 void BM_PageRankPattern(benchmark::State& state) { run_pattern(state, {}); }

@@ -111,6 +111,18 @@ ratio = generic / lane
 print(f"generic route / accumulate lane @2 ranks: {ratio:.2f}x (limit >=1.5x)")
 if ratio < 1.5:
     raise SystemExit("ratio guard FAILED: the PageRank accumulate lane lost its edge over the generic route")
+
+# Count guard (not timing): owner-local shares apply in place and remote
+# ones combine at the sender, so at 2 ranks the lane may put at most half
+# of each iteration's edges on the wire.
+row = next((r for r in rows if r["name"] == "BM_PageRankPattern/2/real_time"
+            and r.get("run_type", "iteration") == "iteration"), None)
+if row is None or "edges_per_iter" not in row:
+    raise SystemExit("count guard: BM_PageRankPattern/2 lacks msgs_per_iter/edges_per_iter")
+msgs, edges = row["msgs_per_iter"], row["edges_per_iter"]
+print(f"accumulate lane @2 ranks: {msgs:.0f} msgs/iter for {edges:.0f} edges/iter (limit <= {edges / 2:.0f})")
+if msgs > edges / 2:
+    raise SystemExit("count guard FAILED: the PageRank accumulate lane ships more than half its edges")
 EOF2
 
 echo "=== bench ratio guard (warm repair vs cold re-solve) ==="

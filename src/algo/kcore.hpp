@@ -56,31 +56,40 @@ class kcore_solver {
     }
     ctx.barrier();
 
+    // The peel's scans walk this rank's shards directly (local index li
+    // <-> global id via the distribution), not the checked per-vertex
+    // property access: every probe below is owner-local by construction.
+    const graph::distribution& dd = g_->dist();
+    std::vector<std::uint64_t> fresh;  // local indices killed this wave
     std::uint64_t k = 1;
     for (;;) {
       // Anyone still alive? If not, the previous k-1 was the degeneracy.
-      bool alive_here = false;
-      strategy::for_each_local_vertex(ctx, *g_, [&](vertex_id v) {
-        alive_here = alive_here || state_[v] == kAlive;
-      });
+      const auto alive = state_.local(r);
+      const bool alive_here = std::find(alive.begin(), alive.end(), kAlive) != alive.end();
       if (!ctx.allreduce_or(alive_here)) break;
 
       // Peel threshold k to a fixed point: surviving this loop means
       // being in the k-core, so survivors have coreness >= k.
       for (;;) {
-        std::vector<vertex_id> fresh;
-        strategy::for_each_local_vertex(ctx, *g_, [&](vertex_id v) {
-          if (state_[v] == kAlive && deg_[v] < k) {
-            state_[v] = kFresh;
-            core_[v] = k - 1;  // died at threshold k => coreness k-1
-            fresh.push_back(v);
+        fresh.clear();
+        {
+          const auto states = state_.local(r);
+          const auto degs = deg_.local(r);
+          const auto cores = core_.local(r);
+          for (std::size_t li = 0; li < states.size(); ++li) {
+            if (states[li] == kAlive && degs[li] < k) {
+              states[li] = kFresh;
+              cores[li] = k - 1;  // died at threshold k => coreness k-1
+              fresh.push_back(li);
+            }
           }
-        });
+        }
         {
           ampp::epoch ep(ctx);
-          for (const vertex_id v : fresh) (*decrement_)(ctx, v);
+          for (const std::uint64_t li : fresh) (*decrement_)(ctx, dd.global(r, li));
         }
-        for (const vertex_id v : fresh) state_[v] = kDead;
+        const auto states = state_.local(r);
+        for (const std::uint64_t li : fresh) states[li] = kDead;
         if (!ctx.allreduce_or(!fresh.empty())) break;
       }
       ++k;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "algo/bfs.hpp"
@@ -267,7 +268,11 @@ class cc_session final : public serve::solver_session {
 /// Requires a simple symmetric graph — the domain on which the distributed
 /// wave peel, the sequential peel, and the streaming maintainer all agree
 /// on standard coreness. repair() rides the kcore_maintainer's
-/// peel-frontier re-activation (one structural edge at a time).
+/// peel-frontier re-activation (one structural edge at a time). A cold
+/// solve does no streaming upkeep: the maintainer is built by the first
+/// repair on top of it, from the live graph with that batch reverted and
+/// the solve's coreness as the pre-batch state — so warm answers are exact
+/// only while the graph stays simple, like the solve they start from.
 class kcore_session final : public serve::solver_session {
  public:
   explicit kcore_session(const session_env& env)
@@ -294,18 +299,25 @@ class kcore_session final : public serve::solver_session {
     out.values.resize(n);
     auto& c = solver_.coreness();
     for (graph::vertex_id v = 0; v < n; ++v) out.values[v] = c[v];
-    if (maint_ == nullptr)
-      maint_ = std::make_unique<kcore_maintainer>(*g_);
-    else
-      maint_->rebuild();
-    maint_version_ = snap_.version();
+    solved_version_ = snap_.version();
     return out;
   }
 
   serve::session_result repair(const serve::query_params& p,
                                const serve::mutation_batch& m) override {
-    if (maint_ == nullptr || maint_version_ != m.base_version) return run(p);
+    const bool maint_ready = maint_ != nullptr && maint_version_ == m.base_version;
+    if (!maint_ready && solved_version_ != m.base_version) return run(p);
     snap_.refresh();
+    if (!maint_ready) {
+      // First repair on top of a cold solve: the solver's coreness is the
+      // exact pre-batch state, so the maintainer starts from it instead
+      // of re-peeling.
+      const graph::vertex_id n = snap_.num_vertices();
+      std::vector<std::uint64_t> cores(n);
+      auto& c = solver_.coreness();
+      for (graph::vertex_id v = 0; v < n; ++v) cores[v] = c[v];
+      maint_ = std::make_unique<kcore_maintainer>(*g_, m.added, m.removed, std::move(cores));
+    }
     maint_->apply(m.added, m.removed);
     maint_version_ = snap_.version();
     serve::session_result out;
@@ -329,6 +341,8 @@ class kcore_session final : public serve::solver_session {
   kcore_solver solver_;
   std::unique_ptr<kcore_maintainer> maint_;
   std::uint64_t maint_version_ = 0;
+  /// The version solver_.coreness() answers, once a cold solve has run.
+  std::optional<std::uint64_t> solved_version_;
 };
 
 /// PageRank session: power iteration, run/rebind only — rank mass has no

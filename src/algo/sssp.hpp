@@ -202,10 +202,12 @@ class sssp_solver {
     auto mine = dist_.local(ctx.rank());
     for (auto& x : mine) x = infinity;
     if (g_->owner(source) == ctx.rank()) dist_[source] = 0.0;
-    // Racy-but-idempotent: every rank writes the same values, and the
-    // strategy's hook-install barrier orders them before any read.
-    source_ = source;
-    has_solution_ = true;
+    // Process-wide fields: one writer per process (the hosted rank's
+    // thread), read only at the boundary after transport::run returns.
+    if (ctx.rank() == ctx.tp().self_rank()) {
+      source_ = source;
+      has_solution_ = true;
+    }
   }
 
   const graph::distributed_graph* g_;

@@ -115,15 +115,32 @@ class cc_maintainer {
 /// coreness, updated one structural edge at a time.
 class kcore_maintainer {
  public:
-  explicit kcore_maintainer(const graph::distributed_graph& g) : g_(&g) { rebuild(); }
-
-  /// Rebuilds adjacency from the live out-edges and re-peels from scratch.
-  void rebuild() {
-    adj_.assign(g_->num_vertices(), {});
-    for (vertex_id v = 0; v < g_->num_vertices(); ++v)
-      for (const vertex_id u : g_->adjacent(v))
+  /// Builds the maintainer as of just before one mutation batch the live
+  /// graph already carries — so a session can defer the build from its
+  /// cold solve to its first repair. The adjacency comes from the live
+  /// out-edges (self-loops dropped, each stored direction counted once)
+  /// with the batch's canonical halves structurally reverted (removals
+  /// re-added, then additions taken back: apply()'s order, reversed).
+  /// `cores` is the pre-batch coreness, one value per vertex (e.g. a cold
+  /// solve's); it is taken as is, so it must be exact for that adjacency —
+  /// true on the simple graphs this maintainer serves. Follow with
+  /// apply(added, removed) to reach the live version.
+  kcore_maintainer(const graph::distributed_graph& g, std::span<const graph::edge> added,
+                   std::span<const graph::edge> removed, std::vector<std::uint64_t> cores)
+      : adj_(g.num_vertices()) {
+    for (vertex_id v = 0; v < g.num_vertices(); ++v)
+      for (const vertex_id u : g.adjacent(v))
         if (u != v) ++adj_[v][u];
-    repeel();
+    for (const graph::edge& e : removed)
+      if (e.src < e.dst) add_edge(e.src, e.dst);
+    for (const graph::edge& e : added)
+      if (e.src < e.dst) remove_edge(e.src, e.dst);
+    DPG_ASSERT_MSG(cores.size() == adj_.size(), "kcore_maintainer: one coreness per vertex");
+    core_ = std::move(cores);
+    // Coreness never exceeds the simple degree; a seed that does was
+    // computed on a multigraph and would poison every later repair.
+    for (vertex_id v = 0; v < adj_.size(); ++v)
+      DPG_DEBUG_ASSERT(core_[v] <= adj_[v].size());
   }
 
   /// Absorbs one mutation batch of *directed* edges. The batch must be
@@ -131,7 +148,7 @@ class kcore_maintainer {
   /// layer's convention for this maintainer's simple-symmetric domain);
   /// only the canonical src < dst half drives the structural update, so
   /// each undirected edge mutates the symmetric adjacency exactly once —
-  /// matching rebuild(), which counts each stored direction once.
+  /// matching the constructor, which counts each stored direction once.
   ///
   /// Each structural event settles coreness with a local cascade; if an
   /// event's candidate set blows the traversal budget the cascades stop
@@ -318,7 +335,6 @@ class kcore_maintainer {
     }
   }
 
-  const graph::distributed_graph* g_;
   std::vector<std::unordered_map<vertex_id, std::uint32_t>> adj_;
   std::vector<std::uint64_t> core_;
 };

@@ -26,6 +26,7 @@
 // same progress discipline AM++ uses.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <concepts>
@@ -284,24 +285,43 @@ class message_type final : public detail::message_type_base {
  public:
   using handler_fn = std::function<void(transport_context&, const Payload&)>;
   using address_fn = std::function<rank_t(const Payload&)>;
-  using key_fn = std::function<std::uint64_t(const Payload&)>;
-  using combine_fn = std::function<Payload(const Payload&, const Payload&)>;
 
   /// Send `p` to rank `dest`. Must be called from inside transport::run on
   /// the sending rank's thread and, for non-internal types, inside an epoch.
-  void send(transport_context& ctx, rank_t dest, const Payload& p);
+  /// A run of one: exactly send_run(ctx, dest, &p, 1).
+  void send(transport_context& ctx, rank_t dest, const Payload& p) {
+    send_run(ctx, dest, &p, 1);
+  }
 
   /// Object-based addressing: destination computed by the address map.
   void send(transport_context& ctx, const Payload& p);
+
+  /// Sends `n` payloads to rank `dest` in order — the same delivered
+  /// multiset, counters, and reduction-cache behaviour as n calls of
+  /// send(), but the lane lock is taken once, the occupancy counter is
+  /// published once, and the record loop (reduction probe included) is
+  /// compiled for this payload type. The coalescing threshold is still
+  /// checked per record, so envelopes are cut exactly where n sends would
+  /// cut them. Same calling rules as send().
+  void send_run(transport_context& ctx, rank_t dest, const Payload* p, std::size_t n);
 
   /// Enable the AM++-style reduction cache: sends whose key collides with a
   /// cached entry are combined instead of transmitted. `cache_bits` gives a
   /// 2^cache_bits-slot direct-mapped cache per destination lane. The
   /// combine function must make one combined message semantically equal to
-  /// delivering both (e.g. min for SSSP relaxations).
-  void enable_reduction(key_fn key, combine_fn combine, unsigned cache_bits = 10);
+  /// delivering both (e.g. min for SSSP relaxations). `key` is invocable as
+  /// std::uint64_t(const Payload&) and `combine` as
+  /// Payload(const Payload&, const Payload&); both are compiled into the
+  /// send loop (no per-record type erasure) and may carry state.
+  template <class KeyFn, class CombineFn>
+    requires std::convertible_to<std::invoke_result_t<const KeyFn&, const Payload&>,
+                                 std::uint64_t> &&
+             std::convertible_to<
+                 std::invoke_result_t<const CombineFn&, const Payload&, const Payload&>,
+                 Payload>
+  void enable_reduction(KeyFn key, CombineFn combine, unsigned cache_bits = 10);
 
-  bool reduction_enabled() const { return reduce_.has_value(); }
+  bool reduction_enabled() const { return reduce_fns_ != nullptr; }
 
   /// Installs a compact wire layout: only the given byte ranges of each
   /// payload travel inside envelopes; the receiver reassembles payloads
@@ -348,8 +368,9 @@ class message_type final : public detail::message_type_base {
   /// One outgoing lane: source rank -> one destination rank. With
   /// handler threads, handlers running on the source rank send
   /// concurrently with the SPMD thread, so each lane carries its own lock
-  /// (uncontended and near-free in polling mode).
-  struct lane {
+  /// (uncontended and near-free in polling mode). Cache-line aligned: the
+  /// lanes of different source ranks are written by different threads.
+  struct alignas(64) lane {
     mutable dpg::spinlock mu;
     std::vector<Payload> buf;
     std::vector<red_slot> cache;  // empty unless reduction enabled
@@ -377,15 +398,23 @@ class message_type final : public detail::message_type_base {
     std::uint64_t pending_evictions = 0;
   };
 
-  struct per_source {
-    std::deque<lane> lanes;  // indexed by destination rank; deque: lanes hold locks
-  };
+  /// The send loop of one run into one locked lane: the plain loop, or a
+  /// reduce_run instantiation compiled for the installed key/combine.
+  using run_fn = void (*)(message_type& self, rank_t src, rank_t dest, lane& ln,
+                          const Payload* p, std::size_t n);
 
-  struct reduction {
-    key_fn key;
-    combine_fn combine;
-    unsigned bits;
-  };
+  /// The plain (no reduction) record loop.
+  static void plain_run(message_type& self, rank_t src, rank_t dest, lane& ln,
+                        const Payload* p, std::size_t n);
+  /// The reduction-cache record loop; `Fns` holds the key and combine.
+  template <class Fns>
+  static void reduce_run(message_type& self, rank_t src, rank_t dest, lane& ln,
+                         const Payload* p, std::size_t n);
+
+  lane& lane_at(rank_t src, rank_t dest) { return lanes_[std::size_t{src} * n_ranks_ + dest]; }
+  const lane& lane_at(rank_t src, rank_t dest) const {
+    return lanes_[std::size_t{src} * n_ranks_ + dest];
+  }
 
   static void dispatch_thunk(detail::message_type_base* self, transport_context& ctx,
                              const std::byte* data, std::uint32_t count);
@@ -400,8 +429,14 @@ class message_type final : public detail::message_type_base {
   handler_fn handler_;
   batch_handler_fn batch_;  ///< whole-envelope dispatch (empty: per record)
   address_fn addr_;
-  std::optional<reduction> reduce_;
-  std::deque<per_source> rows_;  // indexed by source rank (deque: lanes hold locks)
+  run_fn run_ = &plain_run;
+  /// The key + combine reduce_run calls (a detail::reduce_fns).
+  std::unique_ptr<void, void (*)(void*)> reduce_fns_{nullptr, nullptr};
+  unsigned reduce_bits_ = 0;
+  /// Every (source, destination) lane in one flat, never-reallocated
+  /// array, source-major: lanes hold locks, so they never move.
+  std::unique_ptr<lane[]> lanes_;
+  rank_t n_ranks_ = 0;
   detail::message_vtable vt_{};
   std::vector<wire_range> layout_;  ///< empty: full payloads travel
   std::size_t wire_stride_ = sizeof(Payload);
@@ -845,24 +880,59 @@ void message_type<Payload>::set_wire_layout(std::vector<wire_range> ranges) {
 }
 
 template <class Payload>
-void message_type<Payload>::send(transport_context& ctx, rank_t dest, const Payload& p) {
+void message_type<Payload>::send_run(transport_context& ctx, rank_t dest, const Payload* p,
+                                     std::size_t n) {
   DPG_ASSERT_MSG(ctx.rank() == current_rank(), "send from a foreign rank's context");
-  DPG_ASSERT_MSG(dest < tp_->size(), "destination rank out of range");
+  DPG_ASSERT_MSG(dest < n_ranks_, "destination rank out of range");
   DPG_ASSERT_MSG(internal_ || ctx.in_epoch(),
                  "user messages may only be sent inside an epoch");
-  lane& ln = rows_[ctx.rank()].lanes[dest];
+  if (n == 0) return;
+  lane& ln = lane_at(ctx.rank(), dest);
   std::lock_guard<dpg::spinlock> lane_guard(ln.mu);
+  run_(*this, ctx.rank(), dest, ln, p, n);
+}
 
-  if (reduce_) {
-    const std::uint64_t key = reduce_->key(p);
+template <class Payload>
+void message_type<Payload>::plain_run(message_type& self, rank_t src, rank_t dest, lane& ln,
+                                      const Payload* p, std::size_t n) {
+  // Threshold 0 behaves as 1 (every payload flushes), as it always has.
+  const std::size_t cap = std::max<std::size_t>(self.tp_->cfg_.coalescing_size, 1);
+  while (n != 0) {
+    // The buffer is always below the threshold between calls, so each
+    // block copy fills it at most to the threshold — the same envelope
+    // boundaries n single sends produce.
+    const std::size_t room = ln.buf.size() < cap ? cap - ln.buf.size() : 1;
+    const std::size_t take = std::min(n, room);
+    ln.buf.insert(ln.buf.end(), p, p + take);
+    p += take;
+    n -= take;
+    note_occupancy(ln, static_cast<std::int64_t>(take));
+    if (ln.buf.size() >= cap) self.flush_lane_locked(src, dest, ln, /*spill_cache=*/false);
+  }
+}
+
+template <class Payload>
+template <class Fns>
+void message_type<Payload>::reduce_run(message_type& self, rank_t src, rank_t dest, lane& ln,
+                                       const Payload* p, std::size_t n) {
+  const Fns& fns = *static_cast<const Fns*>(self.reduce_fns_.get());
+  const unsigned shift = 64 - self.reduce_bits_;
+  const std::size_t cap = self.tp_->cfg_.coalescing_size;
+  red_slot* const cache = ln.cache.data();
+  // Occupancy and hits accumulate in registers and are settled into the
+  // lane before any flush (which publishes them) and at the end of the run.
+  std::int64_t added = 0;
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Payload& x = p[i];
+    const auto key = static_cast<std::uint64_t>(fns.key(x));
     // Fibonacci hash into the direct-mapped cache.
-    const std::size_t slot_idx =
-        static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> (64 - reduce_->bits));
-    red_slot& slot = ln.cache[slot_idx];
+    const auto slot_idx = static_cast<std::uint32_t>((key * 0x9e3779b97f4a7c15ULL) >> shift);
+    red_slot& slot = cache[slot_idx];
     if (slot.used && slot.key == key) {
-      slot.payload = reduce_->combine(slot.payload, p);
-      ++ln.pending_hits;
-      return;
+      slot.payload = fns.combine(slot.payload, x);
+      ++hits;
+      continue;
     }
     if (slot.used) {
       // Evict: the old payload moves slot -> buf (still buffered) and the
@@ -871,21 +941,22 @@ void message_type<Payload>::send(transport_context& ctx, rank_t dest, const Payl
       ++ln.pending_evictions;
     } else {
       ++ln.used_slots;
-      ln.used_list.push_back(static_cast<std::uint32_t>(slot_idx));
+      ln.used_list.push_back(slot_idx);
     }
     slot.used = true;
     slot.key = key;
-    slot.payload = p;
-    note_occupancy(ln, +1);
-    if (ln.buf.size() >= tp_->cfg_.coalescing_size)
-      flush_lane_locked(ctx.rank(), dest, ln, /*spill_cache=*/false);
-    return;
+    slot.payload = x;
+    ++added;
+    if (ln.buf.size() >= cap) {
+      note_occupancy(ln, added);
+      ln.pending_hits += hits;
+      added = 0;
+      hits = 0;
+      self.flush_lane_locked(src, dest, ln, /*spill_cache=*/false);
+    }
   }
-
-  ln.buf.push_back(p);
-  note_occupancy(ln, +1);
-  if (ln.buf.size() >= tp_->cfg_.coalescing_size)
-    flush_lane_locked(ctx.rank(), dest, ln, /*spill_cache=*/false);
+  if (added != 0) note_occupancy(ln, added);
+  ln.pending_hits += hits;
 }
 
 template <class Payload>
@@ -894,18 +965,38 @@ void message_type<Payload>::send(transport_context& ctx, const Payload& p) {
   send(ctx, addr_(p), p);
 }
 
+namespace detail {
+/// The callables one enable_reduction call installed, held by the message
+/// type and handed to its reduce_run instantiation.
+template <class KeyFn, class CombineFn>
+struct reduce_fns {
+  KeyFn key;
+  CombineFn combine;
+};
+}  // namespace detail
+
 template <class Payload>
-void message_type<Payload>::enable_reduction(key_fn key, combine_fn combine,
+template <class KeyFn, class CombineFn>
+  requires std::convertible_to<std::invoke_result_t<const KeyFn&, const Payload&>,
+                               std::uint64_t> &&
+           std::convertible_to<
+               std::invoke_result_t<const CombineFn&, const Payload&, const Payload&>,
+               Payload>
+void message_type<Payload>::enable_reduction(KeyFn key, CombineFn combine,
                                              unsigned cache_bits) {
   DPG_ASSERT_MSG(cache_bits >= 1 && cache_bits <= 24, "unreasonable reduction cache size");
-  reduce_ = reduction{std::move(key), std::move(combine), cache_bits};
-  for (auto& row : rows_)
-    for (auto& ln : row.lanes) ln.cache.assign(std::size_t{1} << cache_bits, red_slot{});
+  using fns_t = detail::reduce_fns<KeyFn, CombineFn>;
+  reduce_fns_ = {new fns_t{std::move(key), std::move(combine)},
+                 [](void* fns) { delete static_cast<fns_t*>(fns); }};
+  reduce_bits_ = cache_bits;
+  run_ = &reduce_run<fns_t>;
+  for (std::size_t i = 0; i < std::size_t{n_ranks_} * n_ranks_; ++i)
+    lanes_[i].cache.assign(std::size_t{1} << cache_bits, red_slot{});
 }
 
 template <class Payload>
 void message_type<Payload>::flush_lane(rank_t src, rank_t dest) {
-  lane& ln = rows_[src].lanes[dest];
+  lane& ln = lane_at(src, dest);
   std::lock_guard<dpg::spinlock> lane_guard(ln.mu);
   flush_lane_locked(src, dest, ln, /*spill_cache=*/true);
 }
@@ -930,7 +1021,7 @@ void message_type<Payload>::flush_lane_locked(rank_t src, rank_t dest, lane& ln,
     st.cache_evictions.fetch_add(ln.pending_evictions, std::memory_order_relaxed);
     ln.pending_evictions = 0;
   }
-  if (reduce_ && spill_cache && ln.used_slots != 0) {
+  if (spill_cache && ln.used_slots != 0) {
     // Spill O(used) slots via the used-slot index list, not O(2^bits) over
     // the whole cache. slot -> buf is occupancy-neutral; the flush below
     // settles the account.
@@ -976,13 +1067,11 @@ void message_type<Payload>::flush_lane_locked(rank_t src, rank_t dest, lane& ln,
 
 template <class Payload>
 void message_type<Payload>::flush_rank(rank_t src) {
-  per_source& row = rows_[src];
-  const auto n_lanes = static_cast<rank_t>(row.lanes.size());
   std::uint64_t skipped = 0;
-  for (rank_t d = 0; d < n_lanes; ++d) {
+  for (rank_t d = 0; d < n_ranks_; ++d) {
     // A clean lane (zero occupancy) is skipped without taking its lock —
     // the common case on TD idle spins, where no lane holds anything.
-    if (row.lanes[d].occupancy.load(std::memory_order_relaxed) == 0) {
+    if (lane_at(src, d).occupancy.load(std::memory_order_relaxed) == 0) {
       ++skipped;
       continue;
     }
@@ -1000,15 +1089,16 @@ bool message_type<Payload>::rank_buffers_empty(rank_t src) const {
 template <class Payload>
 std::int64_t message_type<Payload>::rank_occupancy(rank_t src) const {
   std::int64_t n = 0;
-  for (const lane& ln : rows_[src].lanes)
-    n += ln.occupancy.load(std::memory_order_relaxed);
+  for (rank_t d = 0; d < n_ranks_; ++d)
+    n += lane_at(src, d).occupancy.load(std::memory_order_relaxed);
   return n;
 }
 
 template <class Payload>
 std::int64_t message_type<Payload>::rank_occupancy_scan(rank_t src) const {
   std::int64_t n = 0;
-  for (const lane& ln : rows_[src].lanes) {
+  for (rank_t d = 0; d < n_ranks_; ++d) {
+    const lane& ln = lane_at(src, d);
     std::lock_guard<dpg::spinlock> lane_guard(ln.mu);
     n += static_cast<std::int64_t>(ln.buf.size());
     for (const red_slot& s : ln.cache)
@@ -1030,8 +1120,9 @@ message_type<Payload>& transport::make_message_type(std::string name, H handler)
   mt->wire_hash_ = wire_name_hash(mt->name_);
   mt->tp_ = this;
   mt->handler_ = std::move(handler);
-  mt->rows_.resize(cfg_.n_ranks);
-  for (auto& row : mt->rows_) row.lanes.resize(cfg_.n_ranks);
+  mt->n_ranks_ = cfg_.n_ranks;
+  mt->lanes_.reset(new typename message_type<Payload>::lane[std::size_t{cfg_.n_ranks} *
+                                                            cfg_.n_ranks]);
   mt->vt_ = detail::message_vtable{&message_type<Payload>::dispatch_thunk, sizeof(Payload),
                                    mt.get()};
   auto& ref = *mt;

@@ -5,6 +5,12 @@
 // We provide the three classic ones; the pattern runtime is parameterized
 // over this class only through owner()/local_index(), so algorithms are
 // distribution-oblivious.
+//
+// owner()/local_index() sit on every message's send and receive path, so
+// block and cyclic never issue a hardware divide for ids below 2^32: the
+// quotient comes from a 64-bit reciprocal precomputed at construction
+// (see fast_divisor), exact for every such id; larger ids fall back to the
+// divide instruction.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +26,31 @@
 namespace dpg::graph {
 
 using ampp::rank_t;
+
+/// Division by a run-time constant d without a divide instruction: for
+/// n < 2^32 and 2 <= d < 2^32, n / d == (m * n) >> 64 with m = ceil(2^64 / d)
+/// (Lemire, Kaser & Kurz, "Faster remainder by direct computation", 2019:
+/// exact because 64 >= 32 + log2(d)). Other n, and d outside that range
+/// (m == 0), take the hardware divide.
+class fast_divisor {
+ public:
+  fast_divisor() = default;
+  explicit fast_divisor(std::uint64_t d)
+      : d_(d), m_(d >= 2 && d <= kMax32 ? ~std::uint64_t{0} / d + 1 : 0) {}
+
+  std::uint64_t div(std::uint64_t n) const noexcept {
+    if (m_ != 0 && n <= kMax32)
+      return static_cast<std::uint64_t>((static_cast<unsigned __int128>(m_) * n) >> 64);
+    return n / d_;
+  }
+
+  std::uint64_t mod(std::uint64_t n) const noexcept { return n - div(n) * d_; }
+
+ private:
+  static constexpr std::uint64_t kMax32 = 0xffffffffULL;
+  std::uint64_t d_ = 1;
+  std::uint64_t m_ = 0;  ///< ceil(2^64 / d); 0 disables the fast path
+};
 
 /// Maps every vertex id in [0, n) to an owning rank and a dense local index
 /// on that rank. Value type; cheap to copy for block/cyclic, shared-state
@@ -48,8 +79,8 @@ class distribution {
   rank_t owner(vertex_id v) const {
     DPG_DEBUG_ASSERT(v < n_);
     switch (kind_) {
-      case kind::block: return static_cast<rank_t>(v / chunk_);
-      case kind::cyclic: return static_cast<rank_t>(v % ranks_);
+      case kind::block: return static_cast<rank_t>(div_.div(v));
+      case kind::cyclic: return static_cast<rank_t>(div_.mod(v));
       case kind::hashed: return static_cast<rank_t>(mix(v) % ranks_);
     }
     return 0;
@@ -59,8 +90,8 @@ class distribution {
   std::uint64_t local_index(vertex_id v) const {
     DPG_DEBUG_ASSERT(v < n_);
     switch (kind_) {
-      case kind::block: return v % chunk_;
-      case kind::cyclic: return v / ranks_;
+      case kind::block: return div_.mod(v);
+      case kind::cyclic: return div_.div(v);
       case kind::hashed: {
         const auto& owned = tables_->owned[owner(v)];
         const auto it = std::lower_bound(owned.begin(), owned.end(), v);
@@ -106,6 +137,8 @@ class distribution {
     DPG_ASSERT_MSG(ranks >= 1, "distribution needs at least one rank");
     DPG_ASSERT_MSG(n >= 1, "distribution needs at least one vertex");
     chunk_ = (n + ranks - 1) / ranks;
+    // block divides by the chunk size, cyclic by the rank count.
+    div_ = fast_divisor(kind_ == kind::block ? chunk_ : ranks_);
     if (kind_ == kind::hashed) {
       auto tables = std::make_shared<hash_tables>();
       tables->owned.resize(ranks);
@@ -131,6 +164,7 @@ class distribution {
   rank_t ranks_;
   std::uint64_t seed_;
   std::uint64_t chunk_ = 0;
+  fast_divisor div_;  ///< chunk_ (block) or ranks_ (cyclic)
   std::shared_ptr<const hash_tables> tables_;
 };
 

@@ -1132,54 +1132,104 @@ class instantiated_action final : public action_instance {
 
   // ---- execution -----------------------------------------------------------
 
-  /// Fast-path generator loop: evaluates destination and proposed value
-  /// directly from the generator state — no arena, no gather chain. Like
-  /// the arena path, iterates base + overlay ranges, so the fast kernel is
-  /// equally mutation-oblivious.
-  void fast_generate(ampp::transport_context& ctx, graph::vertex_id v) {
-    if constexpr (kFastShape) {
-      gather_state s;
-      s.v = v;
-      fast_hoists_.run(s);  // v-homed reads: once per application, not per edge
-      if constexpr (std::is_same_v<Gen, out_edges_gen>) {
-        for (const graph::edge_handle e : g_->out_edges(v)) {
-          s.e = e;
-          fast_apply(ctx, s);
-        }
-      } else if constexpr (std::is_same_v<Gen, in_edges_gen>) {
-        for (const graph::edge_handle e : g_->in_edges(v)) {
-          s.e = e;
-          fast_apply(ctx, s);
-        }
-      } else if constexpr (std::is_same_v<Gen, adj_gen>) {
-        for (const graph::vertex_id u : g_->adjacent(v)) {
-          s.u = u;
-          fast_apply(ctx, s);
-        }
-      } else if constexpr (is_pmap_gen<Gen>) {
-        for (const graph::vertex_id u : std::as_const(*gen_.pm)[v]) {
-          s.u = u;
-          fast_apply(ctx, s);
-        }
-      } else {
-        fast_apply(ctx, s);
+  /// Runs `f(s)` once per generated item of v's generator, with s's
+  /// generator field (e or u) set. Like the arena path, iterates base +
+  /// overlay ranges, so the fast kernel is equally mutation-oblivious.
+  template <class F>
+  void for_each_generated(graph::vertex_id v, gather_state& s, F&& f) {
+    if constexpr (std::is_same_v<Gen, out_edges_gen>) {
+      for (const graph::edge_handle e : g_->out_edges(v)) {
+        s.e = e;
+        f(s);
       }
+    } else if constexpr (std::is_same_v<Gen, in_edges_gen>) {
+      for (const graph::edge_handle e : g_->in_edges(v)) {
+        s.e = e;
+        f(s);
+      }
+    } else if constexpr (std::is_same_v<Gen, adj_gen>) {
+      for (const graph::vertex_id u : g_->adjacent(v)) {
+        s.u = u;
+        f(s);
+      }
+    } else if constexpr (is_pmap_gen<Gen>) {
+      for (const graph::vertex_id u : std::as_const(*gen_.pm)[v]) {
+        s.u = u;
+        f(s);
+      }
+    } else {
+      f(s);
     }
   }
 
-  void fast_apply(ampp::transport_context& ctx, const gather_state& s) {
+  /// Per-thread staging for fast_generate: one invocation's records,
+  /// bucketed by destination rank, each bucket bounded by the coalescing
+  /// size (a full bucket is sent at once). thread_local because handler
+  /// threads may invoke the action concurrently with the SPMD thread. One
+  /// buffer per thread suffices: sending never dispatches a handler inline
+  /// (the polling progress model), so an invocation cannot re-enter itself.
+  static std::vector<std::vector<fast_rec>>& staging() {
+    thread_local std::vector<std::vector<fast_rec>> runs;  // by destination rank
+    return runs;
+  }
+
+  /// Fast-path generator loop: evaluates destination and proposed value
+  /// directly from the generator state — no arena, no gather chain — and
+  /// stages the records per destination rank, so each destination gets
+  /// one send_run (one lane acquisition) per invocation — or per
+  /// coalescing_size records, which bounds staging on hub vertices —
+  /// instead of one locked send per record. On the accumulate lane,
+  /// records whose target this rank owns skip the wire entirely when no
+  /// work hook would fire: the reducer applies them in place on the shard
+  /// (resolved once per invocation) — what delivering them to this rank
+  /// would do, minus the buffer, envelope and dispatch.
+  void fast_generate(ampp::transport_context& ctx, graph::vertex_id v) {
     if constexpr (kFastShape) {
+      using VT = typename fshape::value_type;
+      gather_state s;
+      s.v = v;
+      fast_hoists_.run(s);  // v-homed reads: once per application, not per edge
+      std::vector<std::vector<fast_rec>>& runs = staging();
+      const ampp::rank_t n_ranks = tp_->size();
+      if (runs.size() < n_ranks) runs.resize(n_ranks);
+      const ampp::rank_t me = ctx.rank();
+      const std::size_t cap = std::max<std::size_t>(tp_->config().coalescing_size, 1);
+      const graph::distribution& dd = g_->dist();
+      const bool apply_owned = kAccum && !(fast_dep_ && hook_);
+      [[maybe_unused]] std::span<VT> shard;
       if constexpr (kAccum)
-        if (!static_cast<bool>((*fast_guard_)(s))) return;
-      fast_rec r;
-      r.loc = (*fast_idx_)(s);
-      r.val = static_cast<typename fshape::value_type>((*fast_val_)(s));
-      if (fast_local_)
-        fast_handle(ctx, r);  // target is v itself: apply in place
-      else
-        // Explicit destination: same routing as the registered address map
-        // (§IV-D), minus its type-erased call — this loop is the hot path.
-        fast_msg_->send(ctx, g_->owner(r.loc), r);
+        if (apply_owned) shard = fast_pm_->local(me);
+      std::uint64_t applied = 0;
+      for_each_generated(v, s, [&](const gather_state& st) {
+        if constexpr (kAccum)
+          if (!static_cast<bool>((*fast_guard_)(st))) return;
+        const fast_rec r{(*fast_idx_)(st), static_cast<VT>((*fast_val_)(st))};
+        if (fast_local_) {
+          fast_handle(ctx, r);  // the target is v itself: apply in place
+          return;
+        }
+        const ampp::rank_t dest = dd.owner(r.loc);
+        if constexpr (kAccum) {
+          if (apply_owned && dest == me) {
+            fshape::reducer_type::apply_atomic(shard[dd.local_index(r.loc)], r.val);
+            ++applied;
+            return;
+          }
+        }
+        std::vector<fast_rec>& run = runs[dest];
+        run.push_back(r);
+        if (run.size() >= cap) {
+          fast_msg_->send_run(ctx, dest, run.data(), run.size());
+          run.clear();
+        }
+      });
+      for (ampp::rank_t d = 0; d < n_ranks; ++d) {
+        std::vector<fast_rec>& run = runs[d];
+        if (run.empty()) continue;
+        fast_msg_->send_run(ctx, d, run.data(), run.size());
+        run.clear();
+      }
+      if (applied != 0) mods_[me].n.fetch_add(applied, std::memory_order_relaxed);
     }
   }
 

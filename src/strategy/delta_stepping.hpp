@@ -21,6 +21,7 @@
 // bucket structure" (its buckets can refill while it tries to end).
 #pragma once
 
+#include <atomic>
 #include <limits>
 #include <span>
 #include <vector>
@@ -144,7 +145,15 @@ class delta_stepping {
   buckets& my_buckets(ampp::transport_context& ctx) { return buckets_[ctx.rank()]; }
 
   double priority(vertex_id v) const {
-    return static_cast<double>((*m_)[v]);
+    // The hook runs on handler threads while other handler threads of the
+    // same rank may be committing to this very slot, so the read is atomic
+    // like the commits. Relaxed suffices: this thread sees its own commit
+    // or a later one, and a later commit fires its own hook for v.
+    T& slot = (*m_)[v];
+    if constexpr (pmap::atomic_capable<T>)
+      return static_cast<double>(std::atomic_ref<T>(slot).load(std::memory_order_relaxed));
+    else
+      return static_cast<double>(slot);
   }
 
   const graph::distributed_graph* g_;

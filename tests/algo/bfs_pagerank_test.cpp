@@ -127,6 +127,79 @@ TEST(PageRank, AccumulateLaneMatchesGenericRoute) {
   EXPECT_GT(tp_fast.stats().cache_hits.load(), 0u);
 }
 
+TEST(PageRank, OwnerLocalSharesSkipTheWire) {
+  // On the accumulate lane a share whose target the sending rank owns is
+  // applied in place, so at 2 ranks only remote edges can put records on
+  // the wire: exactly one per remote edge without sender combining, at most
+  // that with it. The values stay within reassociation distance of the
+  // generic route, with and without handler threads.
+  const vertex_id n = 512;
+  const auto edges = graph::symmetrize(graph::rmat({.scale = 9, .edge_factor = 8}, 31));
+  distributed_graph g(n, edges, distribution::cyclic(n, 2));
+  constexpr int kIters = 12;
+  using tog = pattern::compile_options::toggle;
+
+  std::uint64_t remote_edges = 0;
+  for (vertex_id v = 0; v < n; ++v)
+    for (const auto e : g.out_edges(v))
+      if (g.owner(e.src) != g.owner(e.dst)) ++remote_edges;
+  ASSERT_GT(remote_edges, 0u);
+
+  ampp::transport tp_gen(ampp::transport_config{.n_ranks = 2});
+  pagerank_solver generic(tp_gen, g, {.fast_path = tog::off});
+  tp_gen.run([&](ampp::transport_context& ctx) { generic.run(ctx, 0.85, kIters); });
+
+  for (const unsigned helpers : {0u, 2u}) {
+    for (const tog reduce : {tog::off, tog::on}) {
+      ampp::transport tp(ampp::transport_config{.n_ranks = 2, .handler_threads = helpers});
+      pagerank_solver pr(tp, g, {.fast_path = tog::on, .fast_reduction = reduce});
+      ASSERT_TRUE(pr.plan().accumulate);
+      tp.run([&](ampp::transport_context& ctx) { pr.run(ctx, 0.85, kIters); });
+      const std::uint64_t per_iter = tp.stats().messages_sent.load() / kIters;
+      if (reduce == tog::off)
+        EXPECT_EQ(per_iter, remote_edges) << "helpers=" << helpers;
+      else
+        EXPECT_LE(per_iter, remote_edges) << "helpers=" << helpers;
+      for (vertex_id v = 0; v < n; ++v)
+        ASSERT_NEAR(pr.ranks()[v], generic.ranks()[v], 1e-12)
+            << "helpers=" << helpers << " v=" << v;
+    }
+  }
+}
+
+TEST(PageRank, HubRunsLongerThanTheCoalescingSize) {
+  // A hub's scatter stages more records per destination than one envelope
+  // holds, so the sender ships them in coalescing-size runs mid-invocation:
+  // every remote share still goes out exactly once and the values match
+  // the generic route.
+  const vertex_id n = 200;
+  std::vector<graph::edge> spokes;
+  for (vertex_id v = 1; v < n; ++v) spokes.push_back({0, v});
+  const auto edges = graph::symmetrize(spokes);
+  distributed_graph g(n, edges, distribution::block(n, 2));
+  constexpr int kIters = 5;
+  using tog = pattern::compile_options::toggle;
+
+  std::uint64_t remote_edges = 0;
+  for (vertex_id v = 0; v < n; ++v)
+    for (const auto e : g.out_edges(v))
+      if (g.owner(e.src) != g.owner(e.dst)) ++remote_edges;
+
+  ampp::transport tp_gen(ampp::transport_config{.n_ranks = 2});
+  pagerank_solver generic(tp_gen, g, {.fast_path = tog::off});
+  tp_gen.run([&](ampp::transport_context& ctx) { generic.run(ctx, 0.85, kIters); });
+
+  for (const std::size_t coalesce : {std::size_t{1}, std::size_t{7}}) {
+    ampp::transport tp(ampp::transport_config{.n_ranks = 2, .coalescing_size = coalesce});
+    pagerank_solver pr(tp, g, {.fast_path = tog::on, .fast_reduction = tog::off});
+    ASSERT_TRUE(pr.plan().accumulate);
+    tp.run([&](ampp::transport_context& ctx) { pr.run(ctx, 0.85, kIters); });
+    EXPECT_EQ(tp.stats().messages_sent.load(), remote_edges * kIters) << "coalesce=" << coalesce;
+    for (vertex_id v = 0; v < n; ++v)
+      ASSERT_NEAR(pr.ranks()[v], generic.ranks()[v], 1e-12) << "coalesce=" << coalesce;
+  }
+}
+
 TEST(PageRank, AccumulateLaneUnderHandlerThreads) {
   // Helper threads dispatch accumulate envelopes concurrently with the
   // SPMD thread, so several threads scatter-add into one shard at once:

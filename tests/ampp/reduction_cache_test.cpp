@@ -4,7 +4,9 @@
 // to delivering every absorbed payload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <compare>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -196,8 +198,21 @@ message_type<weighted_msg>& make_weighted(transport& tp, std::atomic<std::uint64
 
 class ReductionCounterExactness : public ::testing::TestWithParam<rank_t> {};
 
-TEST_P(ReductionCounterExactness, AllToAllCollidingKeys) {
-  const rank_t ranks = GetParam();
+/// Sends `keys` (weight 1 each) from the calling rank to `dest` as runs of
+/// 1, 2, ..., 13, 1, 2, ... records — every run length, cut anywhere.
+void send_in_runs(message_type<weighted_msg>& mt, transport_context& ctx, rank_t dest,
+                  const std::vector<std::uint64_t>& keys) {
+  std::vector<weighted_msg> msgs;
+  for (const std::uint64_t k : keys) msgs.push_back(weighted_msg{k, 1});
+  std::size_t len = 1;
+  for (std::size_t i = 0; i < msgs.size(); i += len, len = len % 13 + 1)
+    mt.send_run(ctx, dest, msgs.data() + i, std::min(len, msgs.size() - i));
+}
+
+/// Every rank hammers every lane with colliding keys — one send per record,
+/// or the same per-lane sequences through send_run — and the published
+/// hit/eviction totals must equal a replay of each lane's cache.
+void expect_exact_all_to_all(rank_t ranks, bool runs) {
   constexpr std::uint64_t kSends = 600;  // per (src, dest) lane, self included
   // Small coalescing: capacity flushes (which publish but keep the cache)
   // interleave with the sends, not just the epoch-end spill.
@@ -206,9 +221,14 @@ TEST_P(ReductionCounterExactness, AllToAllCollidingKeys) {
   auto& mt = make_weighted(tp, weight);
   tp.run([&](transport_context& ctx) {
     epoch ep(ctx);
-    for (rank_t d = 0; d < ranks; ++d)
-      for (const std::uint64_t k : lane_keys(ctx.rank(), d, kSends, 0))
-        mt.send(ctx, d, weighted_msg{k, 1});
+    for (rank_t d = 0; d < ranks; ++d) {
+      const auto keys = lane_keys(ctx.rank(), d, kSends, 0);
+      if (runs) {
+        send_in_runs(mt, ctx, d, keys);
+      } else {
+        for (const std::uint64_t k : keys) mt.send(ctx, d, weighted_msg{k, 1});
+      }
+    }
   });
 
   std::uint64_t want_hits = 0, want_evictions = 0;
@@ -227,6 +247,15 @@ TEST_P(ReductionCounterExactness, AllToAllCollidingKeys) {
   EXPECT_EQ(st.cache_evictions.load(), want_evictions);
   EXPECT_EQ(weight.load(), issued) << "combining lost or duplicated weight";
   EXPECT_TRUE(tp.occupancy_consistent());
+}
+
+TEST_P(ReductionCounterExactness, AllToAllCollidingKeys) {
+  expect_exact_all_to_all(GetParam(), /*runs=*/false);
+}
+
+TEST_P(ReductionCounterExactness, AllToAllCollidingKeysInRuns) {
+  // One lock per run must not change a single hit, eviction, or message.
+  expect_exact_all_to_all(GetParam(), /*runs=*/true);
 }
 
 TEST_P(ReductionCounterExactness, EpochRowsAttributeHitsToTheirEpoch) {
@@ -274,6 +303,74 @@ INSTANTIATE_TEST_SUITE_P(Ranks, ReductionCounterExactness, ::testing::Values(2, 
                          [](const auto& info) {
                            return std::to_string(info.param) + "ranks";
                          });
+
+// ---- send_run ---------------------------------------------------------------
+
+struct delivery {
+  rank_t at;
+  std::uint64_t key, weight;
+  auto operator<=>(const delivery&) const = default;
+};
+
+/// Every (receiving rank, payload) one epoch of traffic delivers, sorted,
+/// plus the envelope count: per-record sends when `runs` is false, else
+/// the same per-lane sequences issued through send_run.
+std::pair<std::vector<delivery>, std::uint64_t> deliveries(rank_t ranks, bool reduce,
+                                                           std::size_t coalescing,
+                                                           bool runs) {
+  transport tp(transport_config{.n_ranks = ranks, .coalescing_size = coalescing});
+  std::mutex mu;
+  std::vector<delivery> got;
+  auto& mt = tp.make_message_type<weighted_msg>(
+      "weighted", [&](transport_context& ctx, const weighted_msg& m) {
+        std::lock_guard<std::mutex> g(mu);
+        got.push_back(delivery{ctx.rank(), m.key, m.weight});
+      });
+  if (reduce)
+    mt.enable_reduction([](const weighted_msg& m) { return m.key; },
+                        [](const weighted_msg& a, const weighted_msg& b) {
+                          return weighted_msg{a.key, a.weight + b.weight};
+                        },
+                        kExactBits);
+  tp.run([&](transport_context& ctx) {
+    epoch ep(ctx);
+    for (rank_t d = 0; d < ranks; ++d) {
+      const auto keys = lane_keys(ctx.rank(), d, 500, 3);
+      if (runs) {
+        send_in_runs(mt, ctx, d, keys);
+      } else {
+        for (const std::uint64_t k : keys) mt.send(ctx, d, weighted_msg{k, 1});
+      }
+    }
+  });
+  std::sort(got.begin(), got.end());
+  return {got, tp.obs().type_envelopes(mt.id())};
+}
+
+TEST(SendRun, DeliversWhatPerRecordSendsDeliver) {
+  for (const rank_t ranks : {1u, 2u, 3u})
+    for (const bool reduce : {false, true})
+      for (const std::size_t coalescing : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
+        const auto [single, single_envs] = deliveries(ranks, reduce, coalescing, false);
+        const auto [batched, batched_envs] = deliveries(ranks, reduce, coalescing, true);
+        EXPECT_EQ(single, batched) << "ranks=" << ranks << " reduce=" << reduce
+                                   << " coalescing=" << coalescing;
+        EXPECT_EQ(single_envs, batched_envs) << "runs must cut envelopes where sends do";
+      }
+}
+
+TEST(SendRun, EmptyRunSendsNothing) {
+  transport tp(transport_config{.n_ranks = 2});
+  std::atomic<std::uint64_t> delivered{0};
+  auto& mt = tp.make_message_type<relax_msg>(
+      "relax", [&](transport_context&, const relax_msg&) { ++delivered; });
+  tp.run([&](transport_context& ctx) {
+    epoch ep(ctx);
+    mt.send_run(ctx, 1 - ctx.rank(), nullptr, 0);
+  });
+  EXPECT_EQ(delivered.load(), 0u);
+  EXPECT_EQ(tp.stats().messages_sent.load(), 0u);
+}
 
 }  // namespace
 }  // namespace dpg::ampp

@@ -73,6 +73,63 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<rank_t>(1, 2, 3, 8, 16)),
     param_name);
 
+// ---- divide-free arithmetic -----------------------------------------------
+//
+// block and cyclic compute owner/local_index through a precomputed 64-bit
+// reciprocal (fast_divisor); these pin them to the plain `/` and `%` they
+// replace, exhaustively on small graphs and across the 2^32 boundary where
+// the reciprocal hands over to the hardware divide.
+
+void expect_matches_divide(const distribution& d, vertex_id v) {
+  const rank_t ranks = d.num_ranks();
+  const vertex_id n = d.num_vertices();
+  const bool block = d.which() == distribution::kind::block;
+  const std::uint64_t chunk = (n + ranks - 1) / ranks;
+  const rank_t owner = static_cast<rank_t>(block ? v / chunk : v % ranks);
+  const std::uint64_t li = block ? v % chunk : v / ranks;
+  ASSERT_EQ(d.owner(v), owner) << "v=" << v << " ranks=" << ranks << " n=" << n;
+  ASSERT_EQ(d.local_index(v), li) << "v=" << v << " ranks=" << ranks << " n=" << n;
+  ASSERT_EQ(d.global(owner, li), v) << "v=" << v << " ranks=" << ranks << " n=" << n;
+}
+
+TEST(DivideFreeDistribution, MatchesDivideOnSmallGraphs) {
+  for (rank_t ranks = 1; ranks <= 9; ++ranks)
+    for (const vertex_id n : {1u, 2u, 5u, 9u, 64u, 1000u, 4099u})
+      for (const auto& d : {distribution::block(n, ranks), distribution::cyclic(n, ranks)})
+        for (vertex_id v = 0; v < n; ++v) expect_matches_divide(d, v);
+}
+
+TEST(DivideFreeDistribution, MatchesDivideAcrossTwoToThe32) {
+  constexpr vertex_id k32 = vertex_id{1} << 32;
+  for (rank_t ranks = 1; ranks <= 9; ++ranks)
+    for (const vertex_id n : {k32 + 1, 3 * k32 + 77, (vertex_id{1} << 62) + 5})
+      for (const auto& d : {distribution::block(n, ranks), distribution::cyclic(n, ranks)}) {
+        for (vertex_id v = k32 - 40; v < k32 + 40; ++v) expect_matches_divide(d, v);
+        for (vertex_id v = n - 20; v < n; ++v) expect_matches_divide(d, v);
+        dpg::splitmix64 rng(n ^ ranks);
+        for (int i = 0; i < 2000; ++i) expect_matches_divide(d, rng.next() % n);
+      }
+}
+
+TEST(DivideFreeDistribution, FastDivisorMatchesDivide) {
+  constexpr std::uint64_t kMax32 = 0xffffffffULL;
+  dpg::splitmix64 rng(404);
+  std::vector<std::uint64_t> divisors = {1, 2, 3, 7, 10, 641, 65535, 65536, 65537,
+                                         kMax32 - 1, kMax32, kMax32 + 1, kMax32 * 3};
+  for (int i = 0; i < 64; ++i) divisors.push_back(1 + rng.next() % kMax32);
+  for (const std::uint64_t dv : divisors) {
+    const fast_divisor fd(dv);
+    std::vector<std::uint64_t> ns = {0, 1, dv - 1, dv, dv + 1, kMax32 - 1, kMax32,
+                                     kMax32 + 1, ~std::uint64_t{0}};
+    for (int i = 0; i < 256; ++i) ns.push_back(rng.next() & kMax32);
+    for (int i = 0; i < 64; ++i) ns.push_back(rng.next());
+    for (const std::uint64_t x : ns) {
+      ASSERT_EQ(fd.div(x), x / dv) << x << " / " << dv;
+      ASSERT_EQ(fd.mod(x), x % dv) << x << " % " << dv;
+    }
+  }
+}
+
 TEST(Distribution, BlockIsContiguous) {
   const auto d = distribution::block(100, 4);
   // ceil(100/4) = 25 per rank.

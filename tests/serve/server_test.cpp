@@ -337,6 +337,73 @@ TEST(ServerTest, ApplyMutationWarmRepairsSsspCcKcore) {
     EXPECT_EQ(rs2->value_as_double(v), dist2[v]) << "v=" << v;
 }
 
+// A cold k-core solve does no streaming upkeep; the first repair on top of
+// it builds the maintainer (live graph with the batch reverted, seeded with
+// the solve's coreness) and must still be warm and exact — over a mixed
+// add/delete batch, then over a second batch that chains from the first.
+TEST(KcoreSession, FirstRepairAfterColdSolveIsWarmAndExact) {
+  for (const graph::vertex_id seed : {3u, 11u}) {
+    distributed_graph g(
+        kN, graph::simplify(graph::symmetrize(graph::erdos_renyi(kN, 480, seed))),
+        distribution::cyclic(kN, 2));
+    algo::session_env env;
+    env.g = &g;
+    env.machine = {.n_ranks = 2};
+    algo::kcore_session s(env);
+    const session_result cold = s.run({});
+    EXPECT_FALSE(cold.warm_repair);
+    const auto cold_want = algo::kcore_peel(g);
+    for (graph::vertex_id v = 0; v < kN; ++v) ASSERT_EQ(cold.value(v), cold_want[v]);
+
+    const auto has_edge = [&g](graph::vertex_id u, graph::vertex_id v) {
+      for (const auto e : g.out_edges(u))
+        if (e.dst == v) return true;
+      return false;
+    };
+    // Batch 0 adds a clique on vertices 10..19 (raising their coreness far
+    // above this sparse graph's degeneracy) and deletes two edges at
+    // vertex 1; batch 1 takes the clique back and adds one fresh pair. Each
+    // batch must move some coreness, or the check below proves nothing.
+    std::vector<graph::edge> clique;
+    for (graph::vertex_id u = 10; u < 20; ++u)
+      for (graph::vertex_id v = u + 1; v < 20; ++v)
+        if (!has_edge(u, v)) {
+          clique.push_back({u, v});
+          clique.push_back({v, u});
+        }
+    ASSERT_FALSE(clique.empty());
+    std::vector<std::uint64_t> prev = cold_want;
+    for (int b = 0; b < 2; ++b) {
+      mutation_batch m;
+      m.base_version = g.version();
+      if (b == 0) {
+        m.added = clique;
+        for (const auto e : g.out_edges(1)) {
+          m.removed.push_back({e.src, e.dst});
+          m.removed.push_back({e.dst, e.src});
+          if (m.removed.size() == 4) break;
+        }
+        ASSERT_EQ(m.removed.size(), 4u);
+      } else {
+        m.removed = clique;
+        ASSERT_FALSE(has_edge(50, 81));
+        m.added = {{50, 81}, {81, 50}};
+      }
+      g.apply_edges(m.added);
+      g.remove_edges(g.resolve_edges(m.removed));
+
+      const session_result r = s.repair({}, m);
+      EXPECT_TRUE(r.warm_repair) << "seed=" << seed << " batch " << b;
+      EXPECT_EQ(r.graph_version, g.version());
+      const auto want = algo::kcore_peel(g);
+      ASSERT_NE(want, prev) << "seed=" << seed << " batch " << b << " moved no coreness";
+      for (graph::vertex_id v = 0; v < kN; ++v)
+        ASSERT_EQ(r.value(v), want[v]) << "seed=" << seed << " batch " << b << " v=" << v;
+      prev = want;
+    }
+  }
+}
+
 TEST(ServerTest, ServingSummaryRendersContextsAndTenants) {
   fixture fx;
   server srv(fx.g, fx.w, fx.cfg());
