@@ -133,7 +133,7 @@ class fused_triple_solver {
   auto& action() { return *fused_; }
   const auto& action() const { return *fused_; }
   /// The packed fused wire layout (for explain / tests).
-  const ampp::fused_layout& layout() const { return fused_->layout(); }
+  const pattern::fused_layout& layout() const { return fused_->layout(); }
 
  private:
   const graph::distributed_graph* g_;

@@ -186,8 +186,12 @@ void shm_ring_backend::push_frame(ring& r, const wire_header& h,
   const std::uint64_t cap = ring_bytes_;
   const std::uint64_t frame = sizeof(wire_header) + h.payload_bytes;
   const std::uint64_t record = 8 + pad8(frame);
-  DPG_ASSERT_MSG(record + 16 < cap,
-                 "shm backend: envelope larger than ring capacity");
+  // A frame that can never fit is refused before it touches the ring, so
+  // the caller sees an error it can report instead of a dead rank.
+  if (record + 16 >= cap)
+    throw wire_error("shm backend: frame of " + std::to_string(frame) +
+                     " bytes does not fit the " + std::to_string(cap) +
+                     "-byte ring (raise ring_bytes)");
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(attach_timeout_ms_);

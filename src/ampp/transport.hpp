@@ -339,7 +339,7 @@ class message_type final : public detail::message_type_base {
   /// Installs an envelope-batch handler: the receiver hands a whole
   /// envelope's payload bytes (`count` packed records) to `h` in one call
   /// instead of dispatching per record — the entry point of the SIMD batch
-  /// kernels (see pattern::instantiated_action::batch_handle). Only taken
+  /// kernels (see pattern::detail::relax_lane). Only taken
   /// when no compact wire layout is installed (full payloads travel, so the
   /// bytes are the records verbatim); a layout silently keeps the
   /// per-record path. The batch handler fully replaces the per-record

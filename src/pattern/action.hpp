@@ -194,6 +194,11 @@ struct plan_info {
 /// print about the communication it generates).
 std::string explain(const std::string& action_name, const plan_info& p);
 
+namespace detail {
+template <class Shape>
+class relax_lane;
+}
+
 class action_instance {
  public:
   virtual ~action_instance() = default;
@@ -219,6 +224,11 @@ class action_instance {
   std::uint64_t modifications_on(ampp::rank_t r) const { return mods_[r].n.load(); }
 
  protected:
+  /// A relax lane commits on behalf of its action: it bumps the action's
+  /// modification counter and fires the action's work hook.
+  template <class Shape>
+  friend class detail::relax_lane;
+
   struct padded_counter {
     alignas(64) std::atomic<std::uint64_t> n{0};
   };
@@ -614,6 +624,374 @@ struct compile_options {
 };
 
 // ---------------------------------------------------------------------------
+// The relax lane (compiled single-locality kernel)
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// The relax lane's wire record: destination vertex + proposed value (16
+/// bytes for an 8-byte value — the hand-written AM++ relax message).
+template <class VT>
+struct relax_rec {
+  graph::vertex_id loc = graph::invalid_vertex;
+  VT val{};
+};
+
+/// One invocation's sends of one record type. Records are staged per
+/// destination rank, and a destination's run leaves with one send_run (one
+/// lane acquisition) when it reaches the coalescing size and at flush(),
+/// so staging never holds more than ranks x coalescing_size records per
+/// thread and record type, whatever a hub's degree. The buffers are
+/// thread_local because handler threads may invoke actions concurrently
+/// with the SPMD thread. One set per thread and record type suffices:
+/// sending never dispatches a handler inline (the polling progress model),
+/// so an invocation cannot re-enter itself, and every invocation flushes
+/// before it returns.
+template <class Rec>
+class run_stager {
+ public:
+  run_stager(ampp::transport_context& ctx, ampp::message_type<Rec>& msg)
+      : ctx_(&ctx),
+        msg_(&msg),
+        runs_(&buffers()),
+        n_ranks_(ctx.size()),
+        cap_(std::max<std::size_t>(ctx.tp().config().coalescing_size, 1)) {
+    if (runs_->size() < n_ranks_) runs_->resize(n_ranks_);
+  }
+
+  void push(ampp::rank_t dest, const Rec& r) {
+    std::vector<Rec>& run = (*runs_)[dest];
+    run.push_back(r);
+    if (run.size() >= cap_) send(dest, run);
+  }
+
+  void flush() {
+    for (ampp::rank_t d = 0; d < n_ranks_; ++d)
+      if (!(*runs_)[d].empty()) send(d, (*runs_)[d]);
+  }
+
+ private:
+  static std::vector<std::vector<Rec>>& buffers() {
+    thread_local std::vector<std::vector<Rec>> runs;  // by destination rank
+    return runs;
+  }
+
+  void send(ampp::rank_t dest, std::vector<Rec>& run) {
+    msg_->send_run(*ctx_, dest, run.data(), run.size());
+    run.clear();
+  }
+
+  ampp::transport_context* ctx_;
+  ampp::message_type<Rec>* msg_;
+  std::vector<std::vector<Rec>>* runs_;
+  ampp::rank_t n_ranks_;
+  std::size_t cap_;
+};
+
+/// Per-thread struct-of-arrays scratch of the envelope kernels: targets,
+/// proposed and current values as bit patterns, the filter's survivor
+/// mask, and (fused envelopes) which records woke work. thread_local so
+/// concurrent transports' handler threads never share one; the busy flag
+/// downgrades a re-entrant dispatch on the same thread to the per-record
+/// path instead of clobbering a live batch.
+struct batch_scratch {
+  std::vector<std::uint64_t> loc, val, cur;
+  std::vector<std::uint8_t> mask, fire;
+  bool busy = false;
+  void resize(std::size_t n) {
+    loc.resize(n);
+    val.resize(n);
+    cur.resize(n);
+    mask.resize(n);
+  }
+  static batch_scratch& local() {
+    thread_local batch_scratch s;
+    return s;
+  }
+};
+
+/// Counts one envelope handed to a batch kernel.
+inline void count_batch(ampp::transport& tp, std::uint32_t n) {
+  auto& core = tp.obs().core();
+  core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
+  core.batch_records.fetch_add(n, std::memory_order_relaxed);
+}
+
+/// A relax lane's transport toggles, resolved once per instantiation.
+struct lane_toggles {
+  bool batch = false;   ///< whole-envelope SIMD batch dispatch
+  bool reduce = false;  ///< sender-side combining cache
+  int simd_level = -1;  ///< forced ISA tier; -1 follows simd::active()
+
+  static lane_toggles resolve(const compile_options& o) {
+    return lane_toggles{
+        resolve_toggle(static_cast<int>(o.batch_kernel), "DPG_PATTERN_BATCH"),
+        resolve_toggle(static_cast<int>(o.fast_reduction), "DPG_PATTERN_REDUCE"),
+        o.simd_level};
+  }
+};
+
+/// Registers one lane's message type: `label`, the per-record handler,
+/// owner addressing by the record's target, the whole-envelope handler
+/// when batching is on, and sender-side combining of same-target records
+/// under `combine` when reduction is on. Every record type of the relax
+/// lane (the 16-byte record and the fused record) registers here.
+template <class Rec, class OnRecord, class OnBatch, class Combine>
+ampp::message_type<Rec>& open_lane(ampp::transport& tp, const graph::distributed_graph& g,
+                                   std::string label, const lane_toggles& t,
+                                   OnRecord on_record, OnBatch on_batch, Combine combine) {
+  const auto* gp = &g;
+  auto& mt = tp.make_message_type<Rec>(std::move(label), std::move(on_record),
+                                       [gp](const Rec& r) { return gp->owner(r.loc); });
+  if (t.batch) mt.set_batch_handler(std::move(on_batch));
+  if (t.reduce)
+    mt.enable_reduction([](const Rec& r) { return static_cast<std::uint64_t>(r.loc); },
+                        std::move(combine));
+  return mt;
+}
+
+/// The relax lane: everything between a generated {target, value}
+/// candidate of a fast shape (a one-when compare-and-update, or a reducer
+/// scatter on the accumulate flavor) and the committed slot — the record
+/// and its message type, staged run sends, the sender reduction under the
+/// shape's own comparator, the envelope kernel (SIMD column filter) and
+/// the commit (CAS, then the modification counter, then the work hook).
+/// A relax action drives one lane; a fused action drives one per member,
+/// and its wide records run the same filter + commit per member column.
+template <class Shape>
+class relax_lane {
+ public:
+  using value_type = typename Shape::value_type;
+  using rec = relax_rec<value_type>;
+  /// The accumulate flavor: every record applies through the reducer.
+  static constexpr bool kAccum = requires { typename Shape::reducer_type; };
+  /// Values the envelope kernel takes as 8-byte columns (the rest
+  /// dispatch per record).
+  static constexpr bool kColumn =
+      sizeof(value_type) == 8 && sizeof(graph::vertex_id) == 8;
+
+  relax_lane() = default;
+  // The registered handlers hold the lane's address.
+  relax_lane(const relax_lane&) = delete;
+  relax_lane& operator=(const relax_lane&) = delete;
+
+  /// Binds the lane to the action it commits for, the map it writes and
+  /// its label. `dep`: a commit makes work (§IV-C).
+  void bind(action_instance& owner, ampp::transport& tp, const graph::distributed_graph& g,
+            typename Shape::pm_type* pm, std::string label, bool dep) {
+    owner_ = &owner;
+    tp_ = &tp;
+    g_ = &g;
+    pm_ = pm;
+    label_ = std::move(label);
+    dep_ = dep;
+  }
+
+  /// Registers the lane's message type under its label (a lane whose
+  /// target is the invocation vertex never opens: it commits in place).
+  void open(const lane_toggles& t) {
+    toggles_ = t;
+    batch_label_ = label_ + ".batch";
+    msg_ = &open_lane<rec>(
+        *tp_, *g_, label_, t,
+        [this](ampp::transport_context& ctx, const rec& r) { handle(ctx, r); },
+        [this](ampp::transport_context& ctx, const std::byte* data, std::uint32_t n) {
+          batch(ctx, data, n);
+        },
+        [](const rec& a, const rec& b) {
+          // Sound for the same reason the batch pre-filter is: the losing
+          // proposal of a monotone pair can never win a CAS the survivor
+          // would lose. The accumulate flavor combines pending
+          // contributions into their sum (a Pregel combiner).
+          if constexpr (kAccum)
+            return rec{a.loc, Shape::reducer_type::combine(a.val, b.val)};
+          else
+            return rec{a.loc, better(a.val, b.val)};
+        });
+  }
+
+  const lane_toggles& toggles() const { return toggles_; }
+  typename Shape::pm_type* map() const { return pm_; }
+  bool dep() const { return dep_; }
+
+  /// This invocation's staged sends on the lane.
+  run_stager<rec> stager(ampp::transport_context& ctx) const {
+    return run_stager<rec>(ctx, *msg_);
+  }
+
+  /// The better of two proposals under the shape's comparator; a NaN
+  /// proposal never wins, so combining stays monotone.
+  static value_type better(value_type a, value_type b) {
+    bool b_wins = Shape::cmp(a, b);
+    if constexpr (std::is_floating_point_v<value_type>) {
+      if (b != b) b_wins = false;
+      else if (a != a) b_wins = true;
+    }
+    return b_wins ? b : a;
+  }
+
+  /// Per-record delivery, and the in-place apply of a v-homed target.
+  void handle(ampp::transport_context& ctx, const rec& r) {
+    obs::trace_span sp(&tp_->obs().trace(), "plan", label_.c_str(), ctx.rank());
+    if (commit(ctx.rank(), r.loc, r.val)) wake(ctx, r.loc);
+  }
+
+  /// The commit at the owner of `loc`: CAS under the shape's comparator
+  /// (or the reducer's atomic apply), then the modification counter.
+  /// Returns whether the work hook should fire.
+  bool commit(ampp::rank_t rank, graph::vertex_id loc, value_type val) {
+    DPG_DEBUG_ASSERT(g_->owner(loc) == rank);
+    return commit_slot(rank, (*pm_)[loc], val);
+  }
+
+  /// Fires the action's work hook at `loc`.
+  void wake(ampp::transport_context& ctx, graph::vertex_id loc) const {
+    if (owner_->hook_) owner_->hook_(ctx, loc);
+  }
+
+  const simd::kernel_table& kernels() const {
+    return simd::kernels(toggles_.simd_level >= 0
+                             ? static_cast<simd::level>(toggles_.simd_level)
+                             : simd::active());
+  }
+
+  /// The envelope kernel over one column: sc.loc and sc.val hold `n`
+  /// targets (all owned here — send routing guarantees it) and proposed
+  /// values as bit patterns. Snapshots the current slots, runs the
+  /// pre-filter, and commits the survivors, calling woke(i) for each
+  /// commit that makes work. Exact by construction: the shape moves each
+  /// slot monotonically (a min keeps shrinking, a max keeps growing), so
+  /// a proposal that lost against a stale snapshot also loses every later
+  /// CAS (the stable-predicate contract atomic_update_if documents), and
+  /// every survivor is re-validated by the CAS the per-record path runs.
+  /// Final state, modification counts and hook firings match per-record
+  /// dispatch at every tier, duplicate targets in one envelope included.
+  template <class Woke>
+  void commit_column(ampp::transport_context& ctx, const simd::kernel_table& kt,
+                     batch_scratch& sc, std::uint32_t n, Woke&& woke) {
+    // Shard-local addressing, hoisted: one local() resolution replaces the
+    // checked owner-sync property access per record.
+    const std::span<value_type> shard = pm_->local(ctx.rank());
+    const graph::distribution& dd = g_->dist();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
+      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
+      // Relaxed atomic snapshot, like the gather reads elsewhere: the
+      // pre-filter tolerates staleness, the CAS below does not.
+      sc.cur[i] = std::bit_cast<std::uint64_t>(
+          std::atomic_ref<value_type>(shard[dd.local_index(loc)])
+              .load(std::memory_order_relaxed));
+    }
+    if (filter(kt, sc, n) == 0) return;
+    for (std::uint32_t i = 0; i < n; ++i)
+      if (sc.mask[i]) {
+        const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
+        if (commit_slot(ctx.rank(), shard[dd.local_index(loc)],
+                        std::bit_cast<value_type>(sc.val[i])))
+          woke(i);
+      }
+  }
+
+ private:
+  bool commit_slot(ampp::rank_t rank, value_type& slot, value_type val) {
+    if constexpr (kAccum) {
+      Shape::reducer_type::apply_atomic(slot, val);
+    } else if (!pmap::atomic_update_if(slot, val, [](const auto& cur, const auto& prop) {
+                 return Shape::cmp(cur, prop);
+               })) {
+      return false;
+    }
+    owner_->mods_[rank].n.fetch_add(1, std::memory_order_relaxed);
+    return dep_;
+  }
+
+  /// The column pre-filter: vector tiers for f64 and u64 values, a scalar
+  /// pass with the same predicate for the rest (signed values). Survivors
+  /// land in sc.mask; returns how many.
+  std::size_t filter(const simd::kernel_table& kt, batch_scratch& sc,
+                     std::uint32_t n) const {
+    if constexpr (std::is_same_v<value_type, double>) {
+      return Shape::min_update
+                 ? kt.filter_lt_f64(sc.val.data(), sc.cur.data(), n, sc.mask.data())
+                 : kt.filter_gt_f64(sc.val.data(), sc.cur.data(), n, sc.mask.data());
+    } else if constexpr (std::is_integral_v<value_type> &&
+                         std::is_unsigned_v<value_type>) {
+      return Shape::min_update
+                 ? kt.filter_lt_u64(sc.val.data(), sc.cur.data(), n, sc.mask.data())
+                 : kt.filter_gt_u64(sc.val.data(), sc.cur.data(), n, sc.mask.data());
+    } else {
+      std::size_t hits = 0;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        sc.mask[i] = Shape::cmp(std::bit_cast<value_type>(sc.cur[i]),
+                                std::bit_cast<value_type>(sc.val[i]))
+                         ? 1
+                         : 0;
+        hits += sc.mask[i];
+      }
+      return hits;
+    }
+  }
+
+  /// Whole-envelope dispatch: the receiver hands each coalesced envelope
+  /// here in one call instead of per-record handle() calls.
+  void batch(ampp::transport_context& ctx, const std::byte* data, std::uint32_t n) {
+    if (n == 0) return;
+    obs::trace_span sp(&tp_->obs().trace(), "plan", batch_label_.c_str(), ctx.rank());
+    count_batch(*tp_, n);
+    if constexpr (kAccum) {
+      // Scatter-add the envelope into the owned shard: no pre-filter
+      // (every contribution applies), one counter bump for the envelope,
+      // the work hook (when the pattern has a dependency) per record.
+      const std::span<value_type> shard = pm_->local(ctx.rank());
+      const graph::distribution& dd = g_->dist();
+      const bool hook = dep_ && static_cast<bool>(owner_->hook_);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        rec r;
+        std::memcpy(&r, data + i * sizeof(rec), sizeof(rec));
+        DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
+        Shape::reducer_type::apply_atomic(shard[dd.local_index(r.loc)], r.val);
+        if (hook) owner_->hook_(ctx, r.loc);
+      }
+      owner_->mods_[ctx.rank()].n.fetch_add(n, std::memory_order_relaxed);
+      return;
+    } else if constexpr (kColumn) {
+      static_assert(sizeof(rec) == 16);
+      batch_scratch& sc = batch_scratch::local();
+      if (!sc.busy) {
+        sc.busy = true;
+        sc.resize(n);
+        const simd::kernel_table& kt = kernels();
+        kt.deinterleave2_u64(data, n, sc.loc.data(), sc.val.data());
+        commit_column(ctx, kt, sc, n, [&](std::uint32_t i) {
+          wake(ctx, static_cast<graph::vertex_id>(sc.loc[i]));
+        });
+        sc.busy = false;
+        return;
+      }
+    }
+    // No 8-byte column, or a re-entrant dispatch while the scratch is live
+    // up-stack: per-record semantics, one call.
+    for (std::uint32_t i = 0; i < n; ++i) {
+      rec r;
+      std::memcpy(&r, data + i * sizeof(rec), sizeof(rec));
+      if (commit(ctx.rank(), r.loc, r.val)) wake(ctx, r.loc);
+    }
+  }
+
+  action_instance* owner_ = nullptr;
+  ampp::transport* tp_ = nullptr;
+  const graph::distributed_graph* g_ = nullptr;
+  typename Shape::pm_type* pm_ = nullptr;
+  ampp::message_type<rec>* msg_ = nullptr;
+  std::string label_;
+  std::string batch_label_;  ///< plan-span name of the envelope kernel
+  bool dep_ = false;
+  lane_toggles toggles_;
+};
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
 // Instantiated action implementation
 // ---------------------------------------------------------------------------
 
@@ -687,12 +1065,8 @@ class instantiated_action final : public action_instance {
   /// gather chain.
   static constexpr bool kFastShape = sizeof...(Whens) == 1 && fshape::value;
 
-  /// The compact fast-path payload: destination vertex + proposed value
-  /// (16 bytes for SSSP/CC — the hand-written AM++ relax message).
-  struct fast_rec {
-    graph::vertex_id loc = graph::invalid_vertex;
-    typename fshape::value_type val{};
-  };
+  using lane_t = detail::relax_lane<fshape>;
+  using fast_rec = typename lane_t::rec;
 
   using fused_whens_t = decltype(detail::compile_whens(
       std::declval<plan_builder<Gen>&>(), std::declval<detail::compile_ctx&>(),
@@ -791,7 +1165,6 @@ class instantiated_action final : public action_instance {
     if constexpr (kFastShape) {
       auto& w0 = std::get<0>(def.whens);
       auto& a0 = std::get<0>(w0.mods);
-      fast_pm_ = a0.target.pm;
       fast_idx_.emplace(plan_builder<Gen>::compile_direct(a0.target.idx));
       // The proposed value hoists its v-indexed reads out of the edge loop
       // (fast_generate runs fast_hoists_ once per application) — the same
@@ -810,19 +1183,11 @@ class instantiated_action final : public action_instance {
       use_fast_ = detail::resolve_toggle(static_cast<int>(opts.fast_path),
                                          "DPG_PATTERN_FASTPATH");
       fast_local_ = merged_;  // v-homed target: apply in place, no message
-      fast_dep_ = when_dep_[0];
-      // Whole-envelope batch dispatch rides on the fast record: it needs a
-      // wire message to batch (a fully local fast path has no envelopes).
-      use_batch_ = use_fast_ && !fast_local_ &&
-                   detail::resolve_toggle(static_cast<int>(opts.batch_kernel),
-                                          "DPG_PATTERN_BATCH");
-      // Sender-side combining likewise needs a wire lane to cache on, and
-      // only the fast shape knows its own monotone comparator (or, on the
-      // accumulate lane, its reducer's combine).
-      use_reduce_ = use_fast_ && !fast_local_ &&
-                    detail::resolve_toggle(static_cast<int>(opts.fast_reduction),
-                                           "DPG_PATTERN_REDUCE");
-      simd_level_ = opts.simd_level;
+      lane_.bind(*this, *tp_, *g_, a0.target.pm, name_ + (kAccum ? ".accum" : ".relax"),
+                 when_dep_[0]);
+      // The lane's message, batch dispatch and sender combining need a
+      // wire: a fully local fast path has no envelopes.
+      if (use_fast_ && !fast_local_) lane_.open(detail::lane_toggles::resolve(opts));
     }
     use_compact_ = detail::resolve_toggle(static_cast<int>(opts.compact_wire),
                                           "DPG_PATTERN_COMPACT");
@@ -839,8 +1204,8 @@ class instantiated_action final : public action_instance {
     }
     plan_.final_locality = home_name(ml_);
     plan_.fast_path = use_fast_;
-    plan_.batch_kernel = use_batch_;
-    plan_.fast_reduction = use_reduce_;
+    plan_.batch_kernel = lane_.toggles().batch;
+    plan_.fast_reduction = lane_.toggles().reduce;
     plan_.accumulate = kAccum && use_fast_;
 
     compute_wire_layouts(pb, step_pos, kFinal);
@@ -1037,65 +1402,9 @@ class instantiated_action final : public action_instance {
 
   void register_messages() {
     const auto* g = g_;
-    if constexpr (kFastShape) {
-      if (use_fast_) {
-        // Compiled relax kernel: one minimal message type, or none when the
-        // target is the invocation vertex itself (fully local application).
-        fast_label_ = name_ + (kAccum ? ".accum" : ".relax");
-        batch_label_ = fast_label_ + ".batch";
-        if (!fast_local_) {
-          fast_msg_ = &tp_->make_message_type<fast_rec>(
-              fast_label_,
-              [this](ampp::transport_context& ctx, const fast_rec& r) {
-                fast_handle(ctx, r);
-              },
-              [g](const fast_rec& r) { return g->owner(r.loc); });
-          // Whole-envelope dispatch: the receiver hands each coalesced
-          // envelope to batch_handle in one call (SIMD pre-filter + CAS
-          // pass) instead of per-record fast_handle calls.
-          if (use_batch_)
-            fast_msg_->set_batch_handler(
-                [this](ampp::transport_context& ctx, const std::byte* data,
-                       std::uint32_t n) { batch_handle(ctx, data, n); });
-          // Sender-side combining cache (AM++ reduction): same-target relax
-          // candidates merge under the shape's own monotone comparator
-          // before they reach an envelope. Sound for the same reason the
-          // batch pre-filter is: the losing proposal of a monotone pair can
-          // never win a CAS the surviving proposal would lose.
-          const auto key = [](const fast_rec& r) {
-            return static_cast<std::uint64_t>(r.loc);
-          };
-          if constexpr (kAccum) {
-            // The accumulate lane's combine is the reducer's own: two
-            // pending contributions to one target merge into their sum (a
-            // Pregel combiner), exact because the reducer is associative
-            // and commutative.
-            if (use_reduce_)
-              fast_msg_->enable_reduction(key, [](const fast_rec& a, const fast_rec& b) {
-                return fast_rec{a.loc, fshape::reducer_type::combine(a.val, b.val)};
-              });
-          } else if (use_reduce_)
-            fast_msg_->enable_reduction(
-                key,
-                [](const fast_rec& a, const fast_rec& b) {
-                  using VT = typename fshape::value_type;
-                  bool b_wins;
-                  if constexpr (fshape::min_update)
-                    b_wins = b.val < a.val;
-                  else
-                    b_wins = a.val < b.val;
-                  if constexpr (std::is_floating_point_v<VT>) {
-                    // A NaN candidate never beats anything; prefer the
-                    // other record so the cache stays monotone.
-                    if (b.val != b.val) b_wins = false;
-                    else if (a.val != a.val) b_wins = true;
-                  }
-                  return b_wins ? b : a;
-                });
-        }
-        return;
-      }
-    }
+    if constexpr (kFastShape)
+      if (use_fast_) return;  // the relax lane registered its own message
+
     // Stable span labels for the plan-stage traces: one per gather hop plus
     // the final evaluate (spans copy the name, but the c_str must live
     // until the span constructor returns).
@@ -1162,52 +1471,47 @@ class instantiated_action final : public action_instance {
     }
   }
 
-  /// Per-thread staging for fast_generate: one invocation's records,
-  /// bucketed by destination rank, each bucket bounded by the coalescing
-  /// size (a full bucket is sent at once). thread_local because handler
-  /// threads may invoke the action concurrently with the SPMD thread. One
-  /// buffer per thread suffices: sending never dispatches a handler inline
-  /// (the polling progress model), so an invocation cannot re-enter itself.
-  static std::vector<std::vector<fast_rec>>& staging() {
-    thread_local std::vector<std::vector<fast_rec>> runs;  // by destination rank
-    return runs;
-  }
-
   /// Fast-path generator loop: evaluates destination and proposed value
   /// directly from the generator state — no arena, no gather chain — and
-  /// stages the records per destination rank, so each destination gets
-  /// one send_run (one lane acquisition) per invocation — or per
-  /// coalescing_size records, which bounds staging on hub vertices —
-  /// instead of one locked send per record. On the accumulate lane,
-  /// records whose target this rank owns skip the wire entirely when no
-  /// work hook would fire: the reducer applies them in place on the shard
-  /// (resolved once per invocation) — what delivering them to this rank
-  /// would do, minus the buffer, envelope and dispatch.
+  /// stages the records on the relax lane, so each destination gets one
+  /// send_run per invocation (or per coalescing_size records) instead of
+  /// one locked send per record. On the accumulate lane, records whose
+  /// target this rank owns skip the wire entirely when no work hook would
+  /// fire: the reducer applies them in place on the shard (resolved once
+  /// per invocation) — what delivering them to this rank would do, minus
+  /// the buffer, envelope and dispatch.
   void fast_generate(ampp::transport_context& ctx, graph::vertex_id v) {
     if constexpr (kFastShape) {
       using VT = typename fshape::value_type;
       gather_state s;
       s.v = v;
       fast_hoists_.run(s);  // v-homed reads: once per application, not per edge
-      std::vector<std::vector<fast_rec>>& runs = staging();
-      const ampp::rank_t n_ranks = tp_->size();
-      if (runs.size() < n_ranks) runs.resize(n_ranks);
+      const auto guard = [&](const gather_state& st) {
+        if constexpr (kAccum)
+          return static_cast<bool>((*fast_guard_)(st));
+        else
+          return true;
+      };
+      const auto candidate = [&](const gather_state& st) {
+        return fast_rec{(*fast_idx_)(st), static_cast<VT>((*fast_val_)(st))};
+      };
+      if (fast_local_) {  // the target is v itself: apply in place
+        for_each_generated(v, s, [&](const gather_state& st) {
+          if (guard(st)) lane_.handle(ctx, candidate(st));
+        });
+        return;
+      }
       const ampp::rank_t me = ctx.rank();
-      const std::size_t cap = std::max<std::size_t>(tp_->config().coalescing_size, 1);
       const graph::distribution& dd = g_->dist();
-      const bool apply_owned = kAccum && !(fast_dep_ && hook_);
+      const bool apply_owned = kAccum && !(lane_.dep() && hook_);
       [[maybe_unused]] std::span<VT> shard;
       if constexpr (kAccum)
-        if (apply_owned) shard = fast_pm_->local(me);
+        if (apply_owned) shard = lane_.map()->local(me);
       std::uint64_t applied = 0;
+      detail::run_stager<fast_rec> out = lane_.stager(ctx);
       for_each_generated(v, s, [&](const gather_state& st) {
-        if constexpr (kAccum)
-          if (!static_cast<bool>((*fast_guard_)(st))) return;
-        const fast_rec r{(*fast_idx_)(st), static_cast<VT>((*fast_val_)(st))};
-        if (fast_local_) {
-          fast_handle(ctx, r);  // the target is v itself: apply in place
-          return;
-        }
+        if (!guard(st)) return;
+        const fast_rec r = candidate(st);
         const ampp::rank_t dest = dd.owner(r.loc);
         if constexpr (kAccum) {
           if (apply_owned && dest == me) {
@@ -1216,194 +1520,10 @@ class instantiated_action final : public action_instance {
             return;
           }
         }
-        std::vector<fast_rec>& run = runs[dest];
-        run.push_back(r);
-        if (run.size() >= cap) {
-          fast_msg_->send_run(ctx, dest, run.data(), run.size());
-          run.clear();
-        }
+        out.push(dest, r);
       });
-      for (ampp::rank_t d = 0; d < n_ranks; ++d) {
-        std::vector<fast_rec>& run = runs[d];
-        if (run.empty()) continue;
-        fast_msg_->send_run(ctx, d, run.data(), run.size());
-        run.clear();
-      }
+      out.flush();
       if (applied != 0) mods_[me].n.fetch_add(applied, std::memory_order_relaxed);
-    }
-  }
-
-  void fast_handle(ampp::transport_context& ctx, const fast_rec& r) {
-    if constexpr (kFastShape) {
-      obs::trace_span sp(&tp_->obs().trace(), "plan", fast_label_.c_str(), ctx.rank());
-      fast_commit(ctx, r.loc, r.val);
-    }
-  }
-
-  /// CAS (or reducer apply) + modification accounting + work hook for one
-  /// fast record — the shared tail of the per-record and batch paths.
-  void fast_commit(ampp::transport_context& ctx, graph::vertex_id loc,
-                   typename fshape::value_type val) {
-    if constexpr (kFastShape) {
-      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-      fast_commit_slot(ctx, loc, (*fast_pm_)[loc], val);
-    }
-  }
-
-  /// fast_commit against an already-resolved shard slot — the batch kernel
-  /// resolves the shard once per envelope instead of paying the checked
-  /// owner-sync property access for every record.
-  void fast_commit_slot(ampp::transport_context& ctx, graph::vertex_id loc,
-                        typename fshape::value_type& slot,
-                        typename fshape::value_type val) {
-    if constexpr (kAccum) {
-      fshape::reducer_type::apply_atomic(slot, val);
-      mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
-      if (fast_dep_ && hook_) hook_(ctx, loc);
-    } else if constexpr (kFastShape) {
-      const bool applied = pmap::atomic_update_if(
-          slot, val,
-          [](const auto& cur, const auto& prop) { return fshape::cmp(cur, prop); });
-      if (applied) {
-        mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
-        if (fast_dep_ && hook_) hook_(ctx, loc);
-      }
-    }
-  }
-
-  /// Per-thread SoA scratch for batch_handle. thread_local: concurrent
-  /// transports' handler threads never share one (the serving layer's
-  /// cross-session isolation), and the busy flag downgrades a re-entrant
-  /// dispatch on the same thread to the per-record path instead of
-  /// clobbering a live batch.
-  struct batch_scratch {
-    std::vector<std::uint64_t> loc, val, cur;
-    std::vector<std::uint8_t> mask;
-    bool busy = false;
-    void resize(std::size_t n) {
-      loc.resize(n);
-      val.resize(n);
-      cur.resize(n);
-      mask.resize(n);
-    }
-  };
-  static batch_scratch& scratch() {
-    thread_local batch_scratch s;
-    return s;
-  }
-
-  /// Envelope-batch kernel: deinterleaves a whole envelope's fast records
-  /// into struct-of-arrays scratch, snapshots the current property values,
-  /// runs the vectorized compare pre-filter at the selected ISA tier, and
-  /// CASes only the surviving candidates. Exact by construction: a lane
-  /// the filter rejects is sound to skip because the fast shape moves the
-  /// slot monotonically (min keeps shrinking / max keeps growing, so a
-  /// proposal that lost against a stale snapshot also loses against every
-  /// later value — the same stable-predicate contract atomic_update_if
-  /// documents), and every survivor is re-validated by the identical CAS
-  /// loop the per-record path runs. Final pmap state, modification counts,
-  /// and hook firings are therefore bit-identical to per-record dispatch
-  /// at every tier, duplicate targets within one envelope included.
-  void batch_handle(ampp::transport_context& ctx, const std::byte* data,
-                    std::uint32_t n) {
-    if constexpr (kFastShape) {
-      if (n == 0) return;
-      obs::trace_span sp(&tp_->obs().trace(), "plan", batch_label_.c_str(), ctx.rank());
-      auto& core = tp_->obs().core();
-      core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
-      core.batch_records.fetch_add(n, std::memory_order_relaxed);
-      using VT = typename fshape::value_type;
-      if constexpr (kAccum) {
-        accum_batch(ctx, data, n);
-        return;
-      }
-      constexpr bool k16 = sizeof(fast_rec) == 16 && sizeof(VT) == 8 &&
-                           sizeof(graph::vertex_id) == 8;
-      constexpr bool kF64 = std::is_same_v<VT, double>;
-      constexpr bool kU64 =
-          std::is_integral_v<VT> && std::is_unsigned_v<VT> && sizeof(VT) == 8;
-      if constexpr (k16 && (kF64 || kU64)) {
-        batch_scratch& sc = scratch();
-        if (!sc.busy) {
-          sc.busy = true;
-          sc.resize(n);
-          const simd::level lvl = simd_level_ >= 0
-                                      ? static_cast<simd::level>(simd_level_)
-                                      : simd::active();
-          const simd::kernel_table& kt = simd::kernels(lvl);
-          kt.deinterleave2_u64(data, n, sc.loc.data(), sc.val.data());
-          // Shard-local addressing, hoisted: every record in the envelope is
-          // owned by this rank (send routing guarantees it), so one local()
-          // resolution replaces the checked owner-sync property access per
-          // record — the record loop indexes a flat slab like hand-written
-          // relax handlers do.
-          const std::span<VT> shard = fast_pm_->local(ctx.rank());
-          const graph::distribution& dd = g_->dist();
-          for (std::uint32_t i = 0; i < n; ++i) {
-            const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-            DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-            // Relaxed atomic snapshot, like the gather reads elsewhere: the
-            // pre-filter tolerates staleness, the CAS below does not.
-            const VT cur = std::atomic_ref<VT>(shard[dd.local_index(loc)])
-                               .load(std::memory_order_relaxed);
-            sc.cur[i] = std::bit_cast<std::uint64_t>(cur);
-          }
-          std::size_t hits;
-          if constexpr (kF64)
-            hits = fshape::min_update
-                       ? kt.filter_lt_f64(sc.val.data(), sc.cur.data(), n,
-                                          sc.mask.data())
-                       : kt.filter_gt_f64(sc.val.data(), sc.cur.data(), n,
-                                          sc.mask.data());
-          else
-            hits = fshape::min_update
-                       ? kt.filter_lt_u64(sc.val.data(), sc.cur.data(), n,
-                                          sc.mask.data())
-                       : kt.filter_gt_u64(sc.val.data(), sc.cur.data(), n,
-                                          sc.mask.data());
-          if (hits != 0)
-            for (std::uint32_t i = 0; i < n; ++i)
-              if (sc.mask[i]) {
-                const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-                fast_commit_slot(ctx, loc, shard[dd.local_index(loc)],
-                                 std::bit_cast<VT>(sc.val[i]));
-              }
-          sc.busy = false;
-          return;
-        }
-      }
-      // Value types without a SIMD filter, or a re-entrant dispatch while
-      // the scratch is live up-stack: per-record semantics, one call.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        fast_rec r;
-        std::memcpy(&r, data + i * sizeof(fast_rec), sizeof(fast_rec));
-        fast_commit(ctx, r.loc, r.val);
-      }
-    }
-  }
-
-  /// Accumulate-lane envelope kernel: scatter-adds a whole envelope into
-  /// the owned shard with one atomic reducer apply per record — no lock
-  /// map, no per-record dispatch, the shard resolved once per envelope
-  /// (the same hoisting as the relax kernel). Records need no pre-filter:
-  /// every contribution applies. One modification-counter bump covers the
-  /// envelope; the work hook (when the pattern has a dependency) still
-  /// fires per record, exactly as fast_commit would.
-  void accum_batch(ampp::transport_context& ctx, const std::byte* data,
-                   std::uint32_t n) {
-    if constexpr (kAccum) {
-      using VT = typename fshape::value_type;
-      const std::span<VT> shard = fast_pm_->local(ctx.rank());
-      const graph::distribution& dd = g_->dist();
-      const bool hook = fast_dep_ && static_cast<bool>(hook_);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        fast_rec r;
-        std::memcpy(&r, data + i * sizeof(fast_rec), sizeof(fast_rec));
-        DPG_DEBUG_ASSERT(g_->owner(r.loc) == ctx.rank());
-        fshape::reducer_type::apply_atomic(shard[dd.local_index(r.loc)], r.val);
-        if (hook) hook_(ctx, r.loc);
-      }
-      mods_[ctx.rank()].n.fetch_add(n, std::memory_order_relaxed);
     }
   }
 
@@ -1465,20 +1585,13 @@ class instantiated_action final : public action_instance {
   std::function<bool(gather_state&)> atomic_exec_;
 
   // Single-locality fast path (engaged when kFastShape and not disabled).
-  typename fshape::pm_type* fast_pm_ = nullptr;
   std::optional<fast_idx_fn_t> fast_idx_;
   std::optional<fast_val_fn_t> fast_val_;
   std::optional<fast_guard_fn_t> fast_guard_;  ///< accumulate lane: sender-side guard
-  ampp::message_type<fast_rec>* fast_msg_ = nullptr;
   hoisted_reads fast_hoists_;  ///< per-application invariant loads for fast_val_
-  std::string fast_label_;
-  std::string batch_label_;  ///< plan-span name of the envelope-batch kernel
+  lane_t lane_;
   bool use_fast_ = false;
   bool fast_local_ = false;
-  bool fast_dep_ = false;
-  bool use_batch_ = false;  ///< whole-envelope SIMD dispatch installed
-  bool use_reduce_ = false; ///< sender-side combining cache on the relax lane
-  int simd_level_ = -1;     ///< forced ISA tier; -1 follows simd::active()
 
   bool use_compact_ = false;
   /// Truncated layouts per wire: gather wires in hop order, then the

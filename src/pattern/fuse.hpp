@@ -4,13 +4,13 @@
 // `pattern::fuse(tp, g, opts, defs...)` takes N single-when action
 // definitions over the same graph whose generator/locality shape matches
 // (each compiles to the single-locality fast record — see
-// detail::fast_shape) and synthesizes ONE fused message family for the
-// group:
+// detail::fast_shape) and drives them as N members over the relax lane
+// (detail::relax_lane in action.hpp), one lane per member:
 //
 //   * the shared addressing field (the target vertex every member routes
-//     by) travels once per record;
+//     by) travels once per fused record;
 //   * each member contributes one 8-byte live slot, concatenated after
-//     the addressing prefix (ampp::fused_wire owns the layout math);
+//     the addressing prefix (fused_layout below owns the layout math);
 //   * one coalesced envelope stream drives all member commits per
 //     delivery, so N analytics pay one fixed point — one epoch loop, one
 //     termination detection — instead of N.
@@ -32,11 +32,10 @@
 // only repeat an earlier emission are skipped. A wave that wakes several
 // members ships one fused record (idle slots carry a self-rejecting
 // sentinel); a wave that wakes exactly one member ships that member's
-// 16-byte solo record on a per-member solo lane, so single-member tails
-// never pay the widened record. The SIMD batch path keeps working on
-// both: fused envelopes dispatch per-member sub-batches (strided column
-// extraction, then the same filter kernels), solo envelopes reuse the
-// 16-byte deinterleave kernel unchanged.
+// 16-byte records on its own lane (labelled `<member>.solo`), so
+// single-member tails never pay the widened record. Both record kinds
+// leave through the lane's staged run sends; fused envelopes run each
+// member lane's column filter + commit over that member's strided slots.
 #pragma once
 
 #include <array>
@@ -52,10 +51,77 @@
 #include <utility>
 #include <vector>
 
-#include "ampp/fused_wire.hpp"
 #include "pattern/action.hpp"
 
 namespace dpg::pattern {
+
+// ---------------------------------------------------------------------------
+// Fused wire layout
+// ---------------------------------------------------------------------------
+
+/// One member pattern's live slot inside a fused record.
+struct fused_slot {
+  std::string member;           ///< member action name, e.g. "sssp.relax"
+  std::size_t offset = 0;       ///< byte offset of the slot in the fused record
+  std::size_t bytes = 0;        ///< slot width (8 for every atomic-capable value)
+  std::size_t solo_bytes = 0;   ///< bytes of the member's own 1-pattern fast record
+  std::string update;           ///< value kind + direction, e.g. "f64 min-update"
+};
+
+/// The packed layout of one fused message family: a shared addressing
+/// prefix followed by the members' live slots, in member order — the one
+/// source of truth the fusion pass and its explain output agree on.
+struct fused_layout {
+  std::size_t addressing_bytes = 0;  ///< shared routing prefix (target vertex)
+  std::size_t record_bytes = 0;      ///< addressing + all live slots, no padding
+  std::vector<fused_slot> slots;
+
+  /// Bytes the same candidates would cost as separate per-member records
+  /// (each repeating the addressing field the fused record shares).
+  std::size_t separate_bytes() const {
+    std::size_t b = 0;
+    for (const fused_slot& s : slots) b += s.solo_bytes;
+    return b;
+  }
+
+  /// Shared addressing bytes, per-member live slots, and the per-hop
+  /// fused payload vs its separate-record sum.
+  std::string describe(const std::string& family) const {
+    std::string out;
+    out += "fused family " + family + ":\n";
+    out += "  members: " + std::to_string(slots.size()) +
+           " single-locality relax patterns, one generator shape\n";
+    out += "  shared addressing: " + std::to_string(addressing_bytes) +
+           "B (target vertex, sent once per record)\n";
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const fused_slot& s = slots[i];
+      out += "  member " + std::to_string(i) + " " + s.member + ": live slot @" +
+             std::to_string(s.offset) + "B +" + std::to_string(s.bytes) + "B " +
+             s.update + " (solo record " + std::to_string(s.solo_bytes) + "B)\n";
+    }
+    out += "  per-hop fused payload: " + std::to_string(record_bytes) + "B (vs " +
+           std::to_string(separate_bytes()) + "B as separate records)\n";
+    return out;
+  }
+};
+
+/// Packs member slots after the shared addressing prefix, in declaration
+/// order, with no padding (every slot is 8 bytes, the prefix is 8 bytes).
+/// The caller supplies slots with `bytes`, `solo_bytes`, `member`, and
+/// `update` filled in; offsets and totals come back computed.
+inline fused_layout pack_fused_layout(std::size_t addressing_bytes,
+                                      std::vector<fused_slot> slots) {
+  fused_layout l;
+  l.addressing_bytes = addressing_bytes;
+  std::size_t at = addressing_bytes;
+  for (fused_slot& s : slots) {
+    s.offset = at;
+    at += s.bytes;
+  }
+  l.record_bytes = at;
+  l.slots = std::move(slots);
+  return l;
+}
 
 namespace detail {
 
@@ -148,6 +214,9 @@ class fused_action final : public action_instance {
                   8) &&
                  ...),
                 "fused live slots are 8 bytes per member");
+  static_assert(std::is_same_v<Gen, out_edges_gen> || std::is_same_v<Gen, in_edges_gen>,
+                "fusion supports the edge generators (out/in): the fused "
+                "record's shared addressing is the generated edge endpoint");
 
   /// The fused record: shared addressing prefix + one live slot per
   /// member (value bit patterns; idle slots carry the member sentinel).
@@ -165,7 +234,6 @@ class fused_action final : public action_instance {
     invocations_ = std::vector<padded_counter>(tp.size());
     mods_ = std::vector<padded_counter>(tp.size());
     build(defs, opts);
-    register_messages();
   }
 
   void operator()(ampp::transport_context& ctx, graph::vertex_id v) override {
@@ -186,40 +254,30 @@ class fused_action final : public action_instance {
   }
 
   /// The packed fused wire layout (shared addressing + per-member slots).
-  const ampp::fused_layout& layout() const { return layout_; }
+  const fused_layout& layout() const { return layout_; }
   /// Member action names, in slot order.
   const std::vector<std::string>& member_names() const { return member_names_; }
 
  private:
-  /// Per-member compiled state. When is the member's single when-clause;
-  /// everything here mirrors one instantiated_action's fast path.
+  /// Per-member compiled state: the member's relax lane (its 16-byte solo
+  /// records, comparator and commit) plus what only fusion needs — the
+  /// compiled target and value, and the change tracking.
   template <class When>
   struct member {
     using shape = detail::fast_shape<When, Gen>;
-    using value_type = typename shape::value_type;
-    /// The member's own 16-byte fast record, used on its solo lane when a
-    /// wave wakes only this member.
-    struct solo_rec {
-      graph::vertex_id loc = graph::invalid_vertex;
-      value_type val{};
-    };
-    static_assert(std::is_trivially_copyable_v<solo_rec>);
+    using lane_t = detail::relax_lane<shape>;
     using idx_fn_t = decltype(plan_builder<Gen>::compile_direct(
         std::declval<const typename shape::idx_expr&>()));
     using val_fn_t = decltype(plan_builder<Gen>::compile_direct_hoisted(
         std::declval<const typename shape::val_expr&>(),
         std::declval<hoisted_reads&>()));
 
-    std::string name;
-    typename shape::pm_type* pm = nullptr;
+    lane_t lane;
     std::optional<idx_fn_t> idx;
     std::optional<val_fn_t> val;
     hoisted_reads hoists;
-    bool dep = false;         ///< firing creates work (§IV-C)
     bool skip_safe = false;   ///< change tracking captures the whole value input
     std::size_t words = 0;    ///< tracked hoist-arena words per vertex
-    ampp::message_type<solo_rec>* solo_msg = nullptr;
-    std::string solo_batch_label;
     /// Last-emitted hoist state per rank, shard-parallel: `last[r]` holds
     /// `words` u64 words per local vertex, `seen[r]` one emitted-once
     /// flag. Accessed through atomic_ref (handler threads of one rank may
@@ -234,7 +292,7 @@ class fused_action final : public action_instance {
 
   // ---- plan construction --------------------------------------------------
 
-  void build(std::tuple<action_def<Gen, Whens>...>& defs, compile_options opts) {
+  void build(std::tuple<action_def<Gen, Whens>...>& defs, const compile_options& opts) {
     [&]<std::size_t... I>(std::index_sequence<I...>) {
       ((build_member<I>(std::get<I>(defs))), ...);
     }(std::index_sequence_for<Whens...>{});
@@ -245,50 +303,65 @@ class fused_action final : public action_instance {
 
     // The fused family is itself the fast path; the fast_path /
     // compact_wire toggles have no general plan to fall back to here, so
-    // only the batch / reduction toggles (and their environment escape
-    // hatches) apply.
-    use_batch_ = detail::resolve_toggle(static_cast<int>(opts.batch_kernel),
-                                        "DPG_PATTERN_BATCH");
-    use_reduce_ = detail::resolve_toggle(static_cast<int>(opts.fast_reduction),
-                                         "DPG_PATTERN_REDUCE");
-    simd_level_ = opts.simd_level;
+    // only the lane toggles apply — to the fused lane and every solo lane.
+    const detail::lane_toggles t = detail::lane_toggles::resolve(opts);
+    fused_label_ = name_ + ".fused";
+    fused_batch_label_ = fused_label_ + ".batch";
+    fused_msg_ = &detail::open_lane<fused_rec>(
+        *tp_, *g_, fused_label_, t,
+        [this](ampp::transport_context& ctx, const fused_rec& r) { fused_handle(ctx, r); },
+        [this](ampp::transport_context& ctx, const std::byte* data, std::uint32_t n) {
+          fused_batch(ctx, data, n);
+        },
+        // Elementwise combining: two same-target fused records merge slot
+        // by slot under each member lane's comparator (sentinels never
+        // win), so candidates from different waves coalesce into one
+        // record even when different members produced them.
+        [](const fused_rec& a, const fused_rec& b) {
+          fused_rec out;
+          out.loc = a.loc;
+          [&]<std::size_t... I>(std::index_sequence<I...>) {
+            ((out.val[I] = std::bit_cast<std::uint64_t>(member_t<I>::lane_t::better(
+                  std::bit_cast<typename shape_t<I>::value_type>(a.val[I]),
+                  std::bit_cast<typename shape_t<I>::value_type>(b.val[I])))),
+             ...);
+          }(std::index_sequence_for<Whens...>{});
+          return out;
+        });
 
-    std::vector<ampp::fused_slot> slots;
+    plan_.wire_bytes.push_back(sizeof(fused_rec));
+    std::vector<fused_slot> slots;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((slots.push_back(ampp::fused_slot{
-           .member = std::get<I>(members_).name,
+      ((std::get<I>(members_).lane.open(t)), ...);
+      ((slots.push_back(fused_slot{
+           .member = member_names_[I],
            .offset = 0,
            .bytes = sizeof(typename shape_t<I>::value_type),
-           .solo_bytes = sizeof(typename member_t<I>::solo_rec),
+           .solo_bytes = sizeof(typename member_t<I>::lane_t::rec),
            .update = update_kind<I>()})),
        ...);
+      plan_.has_dependencies = (std::get<I>(members_).lane.dep() || ...);
+      ((plan_.wire_bytes.push_back(sizeof(typename member_t<I>::lane_t::rec))), ...);
     }(std::index_sequence_for<Whens...>{});
-    layout_ = ampp::pack_fused_layout(sizeof(graph::vertex_id), std::move(slots));
+    layout_ = pack_fused_layout(sizeof(graph::vertex_id), std::move(slots));
 
     plan_.gather_hops = 1;
     plan_.final_merged = false;
     plan_.atomic_path = true;
     plan_.conditions = static_cast<int>(kMembers);
     plan_.fast_path = true;
-    plan_.batch_kernel = use_batch_;
-    plan_.fast_reduction = use_reduce_;
+    plan_.batch_kernel = t.batch;
+    plan_.fast_reduction = t.reduce;
     plan_.hop_localities = {"v"};
     plan_.hop_reads = {0};
     plan_.final_locality = "trg(e)";
-    plan_.wire_bytes.push_back(sizeof(fused_rec));
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((plan_.wire_bytes.push_back(sizeof(typename member_t<I>::solo_rec))), ...);
-      plan_.has_dependencies = (std::get<I>(members_).dep || ...);
-    }(std::index_sequence_for<Whens...>{});
   }
 
   template <std::size_t I>
   void build_member(action_def<Gen, when_t<I>>& def) {
     auto& m = std::get<I>(members_);
     auto& a0 = std::get<0>(std::get<0>(def.whens).mods);
-    m.name = def.name;
     member_names_.push_back(def.name);
-    m.pm = a0.target.pm;
     m.idx.emplace(plan_builder<Gen>::compile_direct(a0.target.idx));
     m.val.emplace(plan_builder<Gen>::compile_direct_hoisted(a0.value, m.hoists));
     m.words = (m.hoists.arena_used + 7) / 8;
@@ -297,12 +370,11 @@ class fused_action final : public action_instance {
     // read; the member makes work iff its condition or value reads the
     // map it writes. (Always true for fast shapes — the condition reads
     // the target — but derive it rather than assume it.)
-    {
-      plan_builder<Gen> pb;
-      detail::compile_ctx cx;
-      (void)detail::compile_one_when(pb, cx, std::get<0>(def.whens));
-      m.dep = pb.reads_pmap(a0.target.pm);
-    }
+    plan_builder<Gen> pb;
+    detail::compile_ctx cx;
+    (void)detail::compile_one_when(pb, cx, std::get<0>(def.whens));
+    m.lane.bind(*this, *tp_, *g_, a0.target.pm, def.name + ".solo",
+                pb.reads_pmap(a0.target.pm));
     m.last.resize(tp_->size());
     m.seen.resize(tp_->size());
     for (ampp::rank_t r = 0; r < tp_->size(); ++r) reset_member_emission<I>(r);
@@ -311,7 +383,7 @@ class fused_action final : public action_instance {
   template <std::size_t I>
   void reset_member_emission(ampp::rank_t r) {
     auto& m = std::get<I>(members_);
-    const std::size_t nloc = m.pm->local(r).size();
+    const std::size_t nloc = m.lane.map()->local(r).size();
     m.last[r].assign(nloc * m.words, 0);
     m.seen[r].assign(nloc, 0);
   }
@@ -325,124 +397,61 @@ class fused_action final : public action_instance {
     return kind + (shape_t<I>::min_update ? " min-update" : " max-update");
   }
 
-  // ---- message registration -----------------------------------------------
-
-  void register_messages() {
-    const auto* g = g_;
-    fused_label_ = name_ + ".fused";
-    fused_batch_label_ = name_ + ".fused.batch";
-    fused_msg_ = &tp_->make_message_type<fused_rec>(
-        fused_label_,
-        [this](ampp::transport_context& ctx, const fused_rec& r) {
-          fused_handle(ctx, r);
-        },
-        [g](const fused_rec& r) { return g->owner(r.loc); });
-    if (use_batch_)
-      fused_msg_->set_batch_handler(
-          [this](ampp::transport_context& ctx, const std::byte* data,
-                 std::uint32_t n) { fused_batch_handle(ctx, data, n); });
-    // Sender-side combining, elementwise: two same-target fused records
-    // merge slot by slot under each member's own comparator (sentinels
-    // never win), so candidates from different waves coalesce into one
-    // record even when different members produced them.
-    if (use_reduce_)
-      fused_msg_->enable_reduction(
-          [](const fused_rec& r) { return static_cast<std::uint64_t>(r.loc); },
-          [](const fused_rec& a, const fused_rec& b) {
-            fused_rec out;
-            out.loc = a.loc;
-            [&]<std::size_t... I>(std::index_sequence<I...>) {
-              ((out.val[I] = better_bits<I>(a.val[I], b.val[I])), ...);
-            }(std::index_sequence_for<Whens...>{});
-            return out;
-          });
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((register_solo<I>()), ...);
-    }(std::index_sequence_for<Whens...>{});
-  }
-
-  template <std::size_t I>
-  void register_solo() {
-    using M = member_t<I>;
-    using solo_rec = typename M::solo_rec;
-    auto& m = std::get<I>(members_);
-    const auto* g = g_;
-    m.solo_batch_label = m.name + ".solo.batch";
-    m.solo_msg = &tp_->make_message_type<solo_rec>(
-        m.name + ".solo",
-        [this](ampp::transport_context& ctx, const solo_rec& r) {
-          solo_handle<I>(ctx, r);
-        },
-        [g](const solo_rec& r) { return g->owner(r.loc); });
-    if (use_batch_)
-      m.solo_msg->set_batch_handler(
-          [this](ampp::transport_context& ctx, const std::byte* data,
-                 std::uint32_t n) { solo_batch_handle<I>(ctx, data, n); });
-    if (use_reduce_)
-      m.solo_msg->enable_reduction(
-          [](const solo_rec& r) { return static_cast<std::uint64_t>(r.loc); },
-          [](const solo_rec& a, const solo_rec& b) {
-            const std::uint64_t best =
-                better_bits<I>(std::bit_cast<std::uint64_t>(a.val),
-                               std::bit_cast<std::uint64_t>(b.val));
-            solo_rec out = a;
-            out.val = std::bit_cast<typename M::value_type>(best);
-            return out;
-          });
-  }
-
-  /// The better of two member-I value bit patterns under the member's
-  /// comparator; NaN (and the idle-slot sentinel) never wins.
-  template <std::size_t I>
-  static std::uint64_t better_bits(std::uint64_t ab, std::uint64_t bb) {
-    using VT = typename shape_t<I>::value_type;
-    const VT a = std::bit_cast<VT>(ab);
-    const VT b = std::bit_cast<VT>(bb);
-    bool b_wins;
-    if constexpr (shape_t<I>::min_update)
-      b_wins = b < a;
-    else
-      b_wins = a < b;
-    if constexpr (std::is_floating_point_v<VT>) {
-      if (b != b) b_wins = false;
-      else if (a != a) b_wins = true;
-    }
-    return b_wins ? bb : ab;
-  }
-
   // ---- generation ----------------------------------------------------------
+
+  /// Like the single-pattern fast path, iterates the graph's live ranges
+  /// (base CSR + delta overlay): fused plans are mutation-oblivious too.
+  template <class F>
+  void for_each_edge(graph::vertex_id v, F&& f) const {
+    if constexpr (std::is_same_v<Gen, out_edges_gen>) {
+      for (const graph::edge_handle e : g_->out_edges(v)) f(e);
+    } else {
+      for (const graph::edge_handle e : g_->in_edges(v)) f(e);
+    }
+  }
 
   template <std::size_t... I>
   void generate(ampp::transport_context& ctx, graph::vertex_id v,
                 std::index_sequence<I...>) {
     std::array<gather_state, kMembers> gs;
-    const std::uint64_t li = g_->dist().local_index(v);
+    const graph::distribution& dd = g_->dist();
+    const std::uint64_t li = dd.local_index(v);
     std::uint32_t active = 0;
     ((active |= prepare_member<I>(ctx.rank(), v, li, gs[I]) ? (1u << I) : 0u), ...);
     if (active == 0) return;  // every member would repeat its last emission
-    const bool multi = (active & (active - 1)) != 0;
-    const auto emit = [&](const graph::edge_handle& e) {
-      ((gs[I].e = e), ...);
-      if (multi) {
-        emit_fused(ctx, gs, active, std::index_sequence<I...>{});
-      } else {
-        const auto one = [&](auto ic) {
-          constexpr std::size_t J = decltype(ic)::value;
-          if ((active >> J) & 1u) emit_solo<J>(ctx, gs[J]);
-        };
-        (one(std::integral_constant<std::size_t, I>{}), ...);
-      }
-    };
-    // Like the single-pattern fast path, iterate the graph's live ranges
-    // (base CSR + delta overlay): fused plans are mutation-oblivious too.
-    if constexpr (std::is_same_v<Gen, out_edges_gen>) {
-      for (const graph::edge_handle e : g_->out_edges(v)) emit(e);
-    } else {
-      static_assert(std::is_same_v<Gen, in_edges_gen>,
-                    "fusion supports the edge generators (out/in): the fused "
-                    "record's shared addressing is the generated edge endpoint");
-      for (const graph::edge_handle e : g_->in_edges(v)) emit(e);
+    if ((active & (active - 1)) == 0) {
+      // One member woke: its own 16-byte records on its own lane.
+      ((active == (1u << I) ? generate_solo<I>(ctx, v, gs[I]) : void()), ...);
+      return;
     }
+    detail::run_stager<fused_rec> out(ctx, *fused_msg_);
+    for_each_edge(v, [&](const graph::edge_handle& e) {
+      ((gs[I].e = e), ...);
+      fused_rec r;
+      r.loc = (*std::get<0>(members_).idx)(gs[0]);
+      ((r.val[I] = (active >> I) & 1u
+                       ? std::bit_cast<std::uint64_t>(
+                             static_cast<typename shape_t<I>::value_type>(
+                                 (*std::get<I>(members_).val)(gs[I])))
+                       : detail::sentinel_bits<shape_t<I>>()),
+       ...);
+      out.push(dd.owner(r.loc), r);
+    });
+    out.flush();
+  }
+
+  template <std::size_t I>
+  void generate_solo(ampp::transport_context& ctx, graph::vertex_id v, gather_state& s) {
+    using rec = typename member_t<I>::lane_t::rec;
+    auto& m = std::get<I>(members_);
+    const graph::distribution& dd = g_->dist();
+    detail::run_stager<rec> out = m.lane.stager(ctx);
+    for_each_edge(v, [&](const graph::edge_handle& e) {
+      s.e = e;
+      const rec r{(*m.idx)(s), static_cast<typename shape_t<I>::value_type>((*m.val)(s))};
+      out.push(dd.owner(r.loc), r);
+    });
+    out.flush();
   }
 
   /// Loads member I's hoisted v-state into `s` and decides whether the
@@ -492,149 +501,36 @@ class fused_action final : public action_instance {
     return changed;
   }
 
-  template <std::size_t... I>
-  void emit_fused(ampp::transport_context& ctx,
-                  const std::array<gather_state, kMembers>& gs, std::uint32_t active,
-                  std::index_sequence<I...>) {
-    fused_rec r;
-    r.loc = (*std::get<0>(members_).idx)(gs[0]);
-    ((r.val[I] =
-          (active >> I) & 1u
-              ? std::bit_cast<std::uint64_t>(
-                    static_cast<typename shape_t<I>::value_type>(
-                        (*std::get<I>(members_).val)(gs[I])))
-              : detail::sentinel_bits<shape_t<I>>()),
-     ...);
-    fused_msg_->send(ctx, g_->owner(r.loc), r);
-  }
-
-  template <std::size_t I>
-  void emit_solo(ampp::transport_context& ctx, const gather_state& s) {
-    auto& m = std::get<I>(members_);
-    typename member_t<I>::solo_rec r;
-    r.loc = (*m.idx)(s);
-    r.val = static_cast<typename shape_t<I>::value_type>((*m.val)(s));
-    m.solo_msg->send(ctx, g_->owner(r.loc), r);
-  }
-
   // ---- delivery ------------------------------------------------------------
-
-  /// Commit one member-I candidate: CAS under the member's comparator +
-  /// modification accounting. Returns whether the apply should make work.
-  template <std::size_t I>
-  bool commit_slot(ampp::transport_context& ctx,
-                   typename shape_t<I>::value_type& slot,
-                   typename shape_t<I>::value_type prop) {
-    const bool applied = pmap::atomic_update_if(
-        slot, prop,
-        [](const auto& cur, const auto& p) { return shape_t<I>::cmp(cur, p); });
-    if (!applied) return false;
-    mods_[ctx.rank()].n.fetch_add(1, std::memory_order_relaxed);
-    return std::get<I>(members_).dep;
-  }
-
-  template <std::size_t I>
-  bool commit_member(ampp::transport_context& ctx, graph::vertex_id loc,
-                     std::uint64_t bits) {
-    using VT = typename shape_t<I>::value_type;
-    auto& m = std::get<I>(members_);
-    return commit_slot<I>(ctx, (*m.pm)[loc], std::bit_cast<VT>(bits));
-  }
 
   void fused_handle(ampp::transport_context& ctx, const fused_rec& r) {
     obs::trace_span sp(&tp_->obs().trace(), "plan", fused_label_.c_str(), ctx.rank());
-    bool fire = false;
+    bool wake = false;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((fire = commit_member<I>(ctx, r.loc, r.val[I]) || fire), ...);
+      ((wake = std::get<I>(members_).lane.commit(
+                   ctx.rank(), r.loc,
+                   std::bit_cast<typename shape_t<I>::value_type>(r.val[I])) ||
+               wake),
+       ...);
     }(std::index_sequence_for<Whens...>{});
     // One hook per delivered record, however many members it advanced:
     // the re-generation it triggers serves every member at once.
-    if (fire && hook_) hook_(ctx, r.loc);
+    if (wake && hook_) hook_(ctx, r.loc);
   }
 
-  template <std::size_t I>
-  void solo_handle(ampp::transport_context& ctx,
-                   const typename member_t<I>::solo_rec& r) {
-    if (commit_member<I>(ctx, r.loc, std::bit_cast<std::uint64_t>(r.val)) && hook_)
-      hook_(ctx, r.loc);
-  }
-
-  // ---- batch dispatch ------------------------------------------------------
-
-  /// Per-thread SoA scratch shared by the fused and solo batch kernels
-  /// (same discipline as the single-pattern path: thread_local so
-  /// concurrent transports never share, busy flag downgrades re-entrant
-  /// dispatch to per-record).
-  struct batch_scratch {
-    std::vector<std::uint64_t> loc, val, cur;
-    std::vector<std::uint8_t> mask, fire;
-    bool busy = false;
-    void resize(std::size_t n) {
-      loc.resize(n);
-      val.resize(n);
-      cur.resize(n);
-      mask.resize(n);
-      fire.resize(n);
-    }
-  };
-  static batch_scratch& scratch() {
-    thread_local batch_scratch s;
-    return s;
-  }
-
-  const simd::kernel_table& kernels() const {
-    const simd::level lvl = simd_level_ >= 0 ? static_cast<simd::level>(simd_level_)
-                                             : simd::active();
-    return simd::kernels(lvl);
-  }
-
-  /// Member-I column filter over SoA scratch (values and current-state
-  /// snapshots as bit patterns). Returns survivors in sc.mask.
-  template <std::size_t I>
-  std::size_t filter_member(const simd::kernel_table& kt, batch_scratch& sc,
-                            std::uint32_t n) {
-    using VT = typename shape_t<I>::value_type;
-    if constexpr (std::is_same_v<VT, double>) {
-      return shape_t<I>::min_update
-                 ? kt.filter_lt_f64(sc.val.data(), sc.cur.data(), n, sc.mask.data())
-                 : kt.filter_gt_f64(sc.val.data(), sc.cur.data(), n, sc.mask.data());
-    } else if constexpr (std::is_integral_v<VT> && std::is_unsigned_v<VT>) {
-      return shape_t<I>::min_update
-                 ? kt.filter_lt_u64(sc.val.data(), sc.cur.data(), n, sc.mask.data())
-                 : kt.filter_gt_u64(sc.val.data(), sc.cur.data(), n, sc.mask.data());
-    } else {
-      // Signed 64-bit: no vector filter in the table — scalar pre-filter
-      // with the same stable-predicate semantics.
-      std::size_t hits = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const VT cur = std::bit_cast<VT>(sc.cur[i]);
-        const VT prop = std::bit_cast<VT>(sc.val[i]);
-        sc.mask[i] = shape_t<I>::cmp(cur, prop) ? 1 : 0;
-        hits += sc.mask[i];
-      }
-      return hits;
-    }
-  }
-
-  /// Whole-envelope dispatch for the fused family: per-member sub-batch
-  /// kernels. The loc column is extracted once; each member's live slots
-  /// are gathered by stride into the same contiguous scratch the 16-byte
-  /// kernels use, so the existing filter tiers run unmodified. Exact for
-  /// the same reason the single-pattern batch kernel is: each member's
-  /// slot moves monotonically, so a candidate rejected against a stale
-  /// snapshot also loses every later CAS, and survivors re-validate in
-  /// the commit. Hooks fire once per record that advanced any member,
-  /// after all member columns committed — same count as the per-record
-  /// handler, deferred to the envelope tail.
-  void fused_batch_handle(ampp::transport_context& ctx, const std::byte* data,
-                          std::uint32_t n) {
+  /// Whole-envelope dispatch of fused records: the target column is
+  /// extracted once, then each member's live slots are gathered by stride
+  /// into the value column and run through that member lane's filter +
+  /// commit. Hooks fire once per record that advanced any member, after
+  /// every member column committed — the per-record handler's count,
+  /// deferred to the envelope tail.
+  void fused_batch(ampp::transport_context& ctx, const std::byte* data,
+                   std::uint32_t n) {
     if (n == 0) return;
     obs::trace_span sp(&tp_->obs().trace(), "plan", fused_batch_label_.c_str(),
                        ctx.rank());
-    auto& core = tp_->obs().core();
-    core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
-    core.batch_records.fetch_add(n, std::memory_order_relaxed);
-    batch_scratch& sc = scratch();
+    detail::count_batch(*tp_, n);
+    detail::batch_scratch& sc = detail::batch_scratch::local();
     if (sc.busy) {
       for (std::uint32_t i = 0; i < n; ++i) {
         fused_rec r;
@@ -645,15 +541,12 @@ class fused_action final : public action_instance {
     }
     sc.busy = true;
     sc.resize(n);
-    constexpr std::size_t kStride = sizeof(fused_rec);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::memcpy(&sc.loc[i], data + i * kStride, 8);
-      sc.fire[i] = 0;
-    }
-    const simd::kernel_table& kt = kernels();
-    const graph::distribution& dd = g_->dist();
+    sc.fire.assign(n, 0);
+    for (std::uint32_t i = 0; i < n; ++i)
+      std::memcpy(&sc.loc[i], data + i * sizeof(fused_rec), 8);
+    const simd::kernel_table& kt = std::get<0>(members_).lane.kernels();
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((fused_batch_member<I>(ctx, kt, dd, data, n, sc)), ...);
+      ((commit_member_column<I>(ctx, kt, data, n, sc)), ...);
     }(std::index_sequence_for<Whens...>{});
     if (hook_)
       for (std::uint32_t i = 0; i < n; ++i)
@@ -662,93 +555,24 @@ class fused_action final : public action_instance {
   }
 
   template <std::size_t I>
-  void fused_batch_member(ampp::transport_context& ctx, const simd::kernel_table& kt,
-                          const graph::distribution& dd, const std::byte* data,
-                          std::uint32_t n, batch_scratch& sc) {
-    using VT = typename shape_t<I>::value_type;
-    auto& m = std::get<I>(members_);
-    constexpr std::size_t kStride = sizeof(fused_rec);
-    constexpr std::size_t kSlot = sizeof(graph::vertex_id) + I * 8;
+  void commit_member_column(ampp::transport_context& ctx, const simd::kernel_table& kt,
+                            const std::byte* data, std::uint32_t n,
+                            detail::batch_scratch& sc) {
+    constexpr std::size_t kSlot = offsetof(fused_rec, val) + I * 8;
     for (std::uint32_t i = 0; i < n; ++i)
-      std::memcpy(&sc.val[i], data + i * kStride + kSlot, 8);
-    const std::span<VT> shard = m.pm->local(ctx.rank());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-      const VT cur = std::atomic_ref<VT>(shard[dd.local_index(loc)])
-                         .load(std::memory_order_relaxed);
-      sc.cur[i] = std::bit_cast<std::uint64_t>(cur);
-    }
-    if (filter_member<I>(kt, sc, n) == 0) return;
-    for (std::uint32_t i = 0; i < n; ++i)
-      if (sc.mask[i]) {
-        const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-        if (commit_slot<I>(ctx, shard[dd.local_index(loc)],
-                           std::bit_cast<VT>(sc.val[i])))
-          sc.fire[i] = 1;
-      }
-  }
-
-  /// Whole-envelope dispatch for a member's solo lane: the records are the
-  /// member's own 16-byte fast records, so the pairwise deinterleave
-  /// kernel applies unchanged.
-  template <std::size_t I>
-  void solo_batch_handle(ampp::transport_context& ctx, const std::byte* data,
-                         std::uint32_t n) {
-    using VT = typename shape_t<I>::value_type;
-    using solo_rec = typename member_t<I>::solo_rec;
-    if (n == 0) return;
-    auto& m = std::get<I>(members_);
-    obs::trace_span sp(&tp_->obs().trace(), "plan", m.solo_batch_label.c_str(),
-                       ctx.rank());
-    auto& core = tp_->obs().core();
-    core.batch_kernels_run.fetch_add(1, std::memory_order_relaxed);
-    core.batch_records.fetch_add(n, std::memory_order_relaxed);
-    batch_scratch& sc = scratch();
-    if (sc.busy) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        solo_rec r;
-        std::memcpy(&r, data + i * sizeof(solo_rec), sizeof(solo_rec));
-        solo_handle<I>(ctx, r);
-      }
-      return;
-    }
-    sc.busy = true;
-    sc.resize(n);
-    const simd::kernel_table& kt = kernels();
-    kt.deinterleave2_u64(data, n, sc.loc.data(), sc.val.data());
-    const std::span<VT> shard = m.pm->local(ctx.rank());
-    const graph::distribution& dd = g_->dist();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-      DPG_DEBUG_ASSERT(g_->owner(loc) == ctx.rank());
-      const VT cur = std::atomic_ref<VT>(shard[dd.local_index(loc)])
-                         .load(std::memory_order_relaxed);
-      sc.cur[i] = std::bit_cast<std::uint64_t>(cur);
-    }
-    if (filter_member<I>(kt, sc, n) != 0)
-      for (std::uint32_t i = 0; i < n; ++i)
-        if (sc.mask[i]) {
-          const auto loc = static_cast<graph::vertex_id>(sc.loc[i]);
-          if (commit_slot<I>(ctx, shard[dd.local_index(loc)],
-                             std::bit_cast<VT>(sc.val[i])) &&
-              hook_)
-            hook_(ctx, loc);
-        }
-    sc.busy = false;
+      std::memcpy(&sc.val[i], data + i * sizeof(fused_rec) + kSlot, 8);
+    std::get<I>(members_).lane.commit_column(ctx, kt, sc, n,
+                                             [&](std::uint32_t i) { sc.fire[i] = 1; });
   }
 
   ampp::transport* tp_;
   const graph::distributed_graph* g_;
   std::tuple<member<Whens>...> members_;
   std::vector<std::string> member_names_;
-  ampp::fused_layout layout_;
+  fused_layout layout_;
   ampp::message_type<fused_rec>* fused_msg_ = nullptr;
   std::string fused_label_;
   std::string fused_batch_label_;
-  bool use_batch_ = false;
-  bool use_reduce_ = false;
-  int simd_level_ = -1;
 };
 
 // ---------------------------------------------------------------------------

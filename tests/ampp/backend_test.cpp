@@ -200,6 +200,29 @@ TEST(ShmRingBackend, MutualFloodDrainsInboundWhileBlocked) {
   mutual_flood(backend_config::kind_t::shm_ring, 1u << 16, 1024, 2048);
 }
 
+TEST(ShmRingBackend, OversizedFrameIsRefused) {
+  // A frame larger than the whole ring can never be pushed: the send must
+  // throw a wire_error naming both sizes (not abort the rank process), and
+  // leave the ring usable for the frames that do fit.
+  constexpr std::uint32_t kRing = 1u << 14;  // the floor
+  auto m = make_machine(backend_config::kind_t::shm_ring, 2, kRing);
+  const std::uint32_t big = kRing + 4096;
+  const auto payload = pattern_payload(big, 0);
+  try {
+    m[0]->send(1, payload_header(0, 0, big), payload.data());
+    ADD_FAILURE() << "an oversized frame was accepted";
+  } catch (const wire_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(sizeof(wire_header) + big) + " bytes"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(kRing) + "-byte ring"), std::string::npos) << what;
+  }
+  const auto small = pattern_payload(512, 0);
+  m[0]->send(1, payload_header(0, 0, 512), small.data());
+  drain_expect(*m[1], 1);
+}
+
 TEST(ShmRingBackend, GeometryMismatchIsRejected) {
   // Rank 1 attaches with a different ring_bytes than the creator: the
   // segment-geometry check must throw rather than mis-index the rings.

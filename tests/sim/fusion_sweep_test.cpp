@@ -261,6 +261,63 @@ TEST(FusionSweep, RerunRepeatsBitIdentically) {
   });
 }
 
+TEST(FusionSweep, HubRunsLongerThanTheCoalescingSize) {
+  // A hub's wave stages more records per destination than one envelope
+  // holds, so the sender ships them in coalescing-size runs mid-invocation
+  // — on the fused lane (the hub's first wave wakes every member) and on a
+  // solo lane (widest, sourced at a spoke, reaches the hub later and
+  // alone). The triple must still match three separate solves bit for
+  // bit, and every lane's bytes stay records x record size.
+  const vertex_id n = 200;
+  std::vector<graph::edge> spokes;
+  for (vertex_id v = 1; v < n; ++v) spokes.push_back({0, v});
+  distributed_graph g(n, graph::symmetrize(spokes), distribution::block(n, 2));
+  auto weight = fusion_weights(g);
+  auto cap = fusion_caps(g);
+  const vertex_id hub = 0, spoke = 1;
+  std::uint64_t remote_spokes = 0;
+  for (const edge_handle e : g.out_edges(hub))
+    if (g.owner(e.dst) != g.owner(hub)) ++remote_spokes;
+  ASSERT_GT(remote_spokes, 7u);
+
+  for (const std::size_t coalesce : {std::size_t{1}, std::size_t{7}}) {
+    SCOPED_TRACE("coalesce=" + std::to_string(coalesce));
+    const auto config = [&] {
+      return ampp::transport_config{.n_ranks = 2, .coalescing_size = coalesce};
+    };
+    ampp::transport stp(config());
+    algo::sssp_solver sssp(stp, g, weight);
+    stp.run([&](ampp::transport_context& ctx) { sssp.run_fixed_point(ctx, hub); });
+    ampp::transport wtp(config());
+    algo::widest_path_solver widest(wtp, g, cap);
+    wtp.run([&](ampp::transport_context& ctx) { widest.run(ctx, spoke); });
+    ampp::transport btp(config());
+    algo::bfs_solver bfs(btp, g);
+    btp.run([&](ampp::transport_context& ctx) { bfs.run_fixed_point(ctx, hub); });
+
+    ampp::transport ftp(config());
+    algo::fused_triple_solver fused(ftp, g, weight, cap);
+    ftp.run([&](ampp::transport_context& ctx) {
+      fused.run(ctx, {.sssp = hub, .widest = spoke, .bfs = hub});
+    });
+
+    for (vertex_id v = 0; v < n; ++v) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(fused.dist()[v]),
+                std::bit_cast<std::uint64_t>(sssp.dist()[v]))
+          << "v=" << v;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(fused.width()[v]),
+                std::bit_cast<std::uint64_t>(widest.width()[v]))
+          << "v=" << v;
+      ASSERT_EQ(fused.depth()[v], bfs.depth()[v]) << "v=" << v;
+    }
+    const family_traffic ft =
+        assert_fused_family_conserved(ftp.obs().snapshot(), fused.layout().record_bytes);
+    EXPECT_GE(ft.fused, remote_spokes) << "the hub's fused wave did not reach every spoke";
+    EXPECT_GE(ft.solo, remote_spokes) << "the hub's solo wave did not reach every spoke";
+    assert_occupancy_conserved(ftp);
+  }
+}
+
 TEST(FusionSweep, FusedWireBeatsSeparateOnCleanTransport) {
   // The perf claim behind the fused wire format, checked deterministically
   // (no fault plan, so no retry noise): a shared-source triple must move

@@ -18,6 +18,7 @@
 #include "algo/bfs.hpp"
 #include "algo/cc.hpp"
 #include "algo/coloring.hpp"
+#include "algo/fused.hpp"
 #include "algo/kcore.hpp"
 #include "algo/mis.hpp"
 #include "algo/pagerank.hpp"
@@ -210,6 +211,50 @@ TEST(SimdSweep, Bfs) {
       baseline = depths;
     else
       ASSERT_EQ(depths, baseline) << "tier diverged from scalar baseline";
+    const auto s = tp.obs().snapshot();
+    assert_fault_consistency(s);
+    assert_occupancy_conserved(tp);
+    events += fault_events(s);
+  });
+}
+
+TEST(SimdSweep, FusedTriple) {
+  // Fused envelopes run each member lane's column filter over a strided
+  // slot column (f64 min, f64 max and u64 min here), and single-member
+  // tails run the 16-byte lane kernel: distinct sources exercise both, and
+  // all three maps are unique fixed points, so every tier must match the
+  // scalar baseline bit for bit.
+  std::vector<std::uint64_t> baseline;
+  simd_sweep("fused_triple_simd", [&](std::uint64_t seed, const plan_spec& ps,
+                                      simd::level, bool is_baseline,
+                                      std::uint64_t& events) {
+    distributed_graph g(kN, sim_edges(seed, false), distribution::cyclic(kN, kRanks));
+    auto weight = sim_weights(g);
+    auto cap = pmap::edge_property_map<double>(g, [](const edge_handle& e) {
+      return graph::edge_weight(e.src, e.dst, 23, 50.0);
+    });
+    const auto dist_oracle = algo::dijkstra(g, weight, 0);
+    const auto depth_oracle = algo::bfs_levels(g, 2);
+    ampp::transport tp(sim_config(kRanks, seed, ps));
+    algo::fused_triple_solver fused(tp, g, weight, cap);
+    tp.run([&](ampp::transport_context& ctx) {
+      fused.run(ctx, {.sssp = 0, .widest = 1, .bfs = 2});
+    });
+    std::vector<std::uint64_t> bits;
+    for (vertex_id v = 0; v < kN; ++v) {
+      ASSERT_DOUBLE_EQ(fused.dist()[v], dist_oracle[v]) << "v=" << v;
+      if (depth_oracle[v] >= 0) {
+        ASSERT_EQ(fused.depth()[v], static_cast<std::uint64_t>(depth_oracle[v]))
+            << "v=" << v;
+      }
+      bits.push_back(std::bit_cast<std::uint64_t>(fused.dist()[v]));
+      bits.push_back(std::bit_cast<std::uint64_t>(fused.width()[v]));
+      bits.push_back(fused.depth()[v]);
+    }
+    if (is_baseline)
+      baseline = bits;
+    else
+      ASSERT_EQ(bits, baseline) << "tier diverged from scalar baseline";
     const auto s = tp.obs().snapshot();
     assert_fault_consistency(s);
     assert_occupancy_conserved(tp);
