@@ -44,6 +44,11 @@ scripts/run_ranks.sh --backend shm --ranks 4 --algo sssp --seed 1 \
   --rankproc build-werror/tools/dpg_rankproc
 scripts/run_ranks.sh --backend tcp --ranks 4 --algo cc --seed 1 \
   --rankproc build-werror/tools/dpg_rankproc
+# cc's out-of-band conflict allgather at the library's default 1 MiB ring
+# on a 262144-edge graph: the frame carries distinct root pairs, so it fits.
+scripts/run_ranks.sh --backend shm --ranks 2 --algo cc --seed 1 \
+  --vertices 16384 --edges 262144 --ring-bytes 0 \
+  --rankproc build-werror/tools/dpg_rankproc
 
 echo "=== wire backend smoke under tsan ==="
 # The same two wires with every rank process tsan-instrumented: races in

@@ -4,8 +4,11 @@
 #
 #   scripts/run_ranks.sh [--backend shm|tcp] [--ranks N] [--algo sssp|bfs|cc]
 #                        [--seed X] [--session S] [--base-port P]
+#                        [--vertices N] [--edges M] [--ring-bytes B]
 #                        [--rankproc PATH]
 #
+# --vertices/--edges/--ring-bytes pass through to every dpg_rankproc
+# (graph size; shm ring size, 0 = the library default).
 # Rank 0 prints the canonical RESULT line; the script exits nonzero if any
 # rank process fails. The default session id embeds this script's PID so
 # concurrent launches never collide on the shm segment / port block.
@@ -18,6 +21,7 @@ seed=1
 session="run$$"
 base_port=29700
 rankproc=""
+extra=()
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -28,6 +32,7 @@ while [[ $# -gt 0 ]]; do
     --session)   session="$2"; shift 2 ;;
     --base-port) base_port="$2"; shift 2 ;;
     --rankproc)  rankproc="$2"; shift 2 ;;
+    --vertices|--edges|--ring-bytes) extra+=("$1" "$2"); shift 2 ;;
     *) echo "run_ranks.sh: unknown flag '$1'" >&2; exit 2 ;;
   esac
 done
@@ -46,7 +51,7 @@ pids=()
 for ((r = 0; r < ranks; ++r)); do
   "$rankproc" --backend "$backend" --ranks "$ranks" --rank "$r" \
       --session "$session" --base-port "$base_port" \
-      --algo "$algo" --seed "$seed" &
+      --algo "$algo" --seed "$seed" ${extra[@]+"${extra[@]}"} &
   pids+=($!)
 done
 

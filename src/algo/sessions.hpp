@@ -196,8 +196,8 @@ class bfs_session final : public serve::solver_session {
 /// minimum member id), so the cold distributed solve and the warm
 /// union-find repair below are bit-identical — the solver's raw labels are
 /// schedule-dependent representatives, canonicalized here after solve().
-/// repair() rides the cc_maintainer: additions union, deletions recompute
-/// only the affected components.
+/// repair() rides the cc_maintainer, seeded from each cold solve's labels:
+/// additions union, deletions recompute only the affected components.
 class cc_session final : public serve::solver_session {
  public:
   explicit cc_session(const session_env& env)
@@ -226,13 +226,9 @@ class cc_session final : public serve::solver_session {
     for (graph::vertex_id v = 0; v < n; ++v)
       if (v < min_of[c[v]]) min_of[c[v]] = v;
     for (graph::vertex_id v = 0; v < n; ++v) out.values[v] = min_of[c[v]];
-    // Sync the ride-along maintainer to the just-solved live topology so a
-    // later repair can start from it (sequential O(n+m) — noise next to
-    // the distributed solve above).
-    if (maint_ == nullptr)
-      maint_ = std::make_unique<cc_maintainer>(*g_);
-    else
-      maint_->rebuild();
+    // Seed the ride-along maintainer from the labels just computed, so a
+    // later repair starts from this solve (O(n); no edge pass).
+    maint_ = std::make_unique<cc_maintainer>(*g_, out.values);
     maint_version_ = snap_.version();
     return out;
   }

@@ -36,21 +36,21 @@ namespace dpg::algo {
 using graph::vertex_id;
 
 /// Connected-components maintainer: union-find with canonical min-member
-/// labels. rebuild()/apply() read the graph's *live* adjacency, so call
-/// them after the corresponding apply_edges/remove_edges.
+/// labels. apply() reads the graph's *live* adjacency, so call it after the
+/// corresponding apply_edges/remove_edges.
 class cc_maintainer {
  public:
-  explicit cc_maintainer(const graph::distributed_graph& g) : g_(&g) { rebuild(); }
-
-  /// Rebuilds from the live edge set (also the deletion fallback's kernel,
-  /// restricted there to the affected components).
-  void rebuild() {
-    const vertex_id n = g_->num_vertices();
-    parent_.resize(n);
-    label_.resize(n);
-    for (vertex_id v = 0; v < n; ++v) parent_[v] = label_[v] = v;
-    for (vertex_id v = 0; v < n; ++v)
-      for (const vertex_id u : g_->adjacent(v)) unite(v, u);
+  /// Seeds the forest from exact canonical labels of the live graph
+  /// (`labels[v]` is the minimum member of v's component, e.g. a cold
+  /// solve's answer): every vertex hangs directly under its component's
+  /// minimum, which is the root. O(n); no edge is read.
+  cc_maintainer(const graph::distributed_graph& g, std::span<const vertex_id> labels)
+      : g_(&g), parent_(labels.begin(), labels.end()), label_(labels.size()) {
+    DPG_ASSERT_MSG(labels.size() == g.num_vertices(), "cc_maintainer: one label per vertex");
+    for (vertex_id v = 0; v < label_.size(); ++v) {
+      label_[v] = v;
+      DPG_DEBUG_ASSERT(parent_[v] <= v && parent_[parent_[v]] == parent_[v]);
+    }
   }
 
   /// Absorbs one mutation batch. Call after the graph mutation: additions

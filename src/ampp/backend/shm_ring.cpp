@@ -135,9 +135,21 @@ shm_ring_backend::shm_ring_backend(const backend_config& cfg, rank_t n_ranks,
   }
   map_len_ = len;
 
+  // A constructor that throws runs no destructor: until every rank has
+  // attached, a failure must unmap the segment (and, on the creator,
+  // unlink its name) here, or the segment outlives the process.
+  struct release_on_throw {
+    shm_ring_backend* b;
+    ~release_on_throw() {
+      if (b != nullptr) b->release();
+    }
+  } guard{this};
+
   auto* seg = static_cast<segment_header*>(base_);
   if (creator_) {
-    std::memset(base_, 0, len);
+    // The segment is fresh (O_CREAT|O_EXCL, sized by ftruncate), so POSIX
+    // has zero-filled it: every ring's head and tail already read 0, and
+    // no ring page is touched before that ring carries a frame.
     seg->hs = wire_handshake{.src_rank = 0, .n_ranks = n_ranks_, .channel = channel};
     seg->seg_magic = kSegMagic;
     seg->ring_bytes = ring_bytes_;
@@ -172,10 +184,14 @@ shm_ring_backend::shm_ring_backend(const backend_config& cfg, rank_t n_ranks,
                        std::to_string(seg->attached.load()) + ")");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  guard.b = nullptr;
 }
 
-shm_ring_backend::~shm_ring_backend() {
+shm_ring_backend::~shm_ring_backend() { release(); }
+
+void shm_ring_backend::release() noexcept {
   if (base_) ::munmap(base_, map_len_);
+  base_ = nullptr;
   // The creator unlinks; attached peers keep their mapping valid until
   // their own munmap regardless (POSIX shm semantics).
   if (creator_) ::shm_unlink(shm_name_.c_str());

@@ -36,6 +36,8 @@ class shm_ring_backend final : public wire_backend {
 
   ring* ring_at(rank_t src, rank_t dest);
   void push_frame(ring& r, const wire_header& h, const std::byte* payload);
+  /// Unmaps the segment; the creator also unlinks its name.
+  void release() noexcept;
 
   rank_t self_ = 0;
   rank_t n_ranks_ = 0;

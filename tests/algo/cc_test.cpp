@@ -159,5 +159,48 @@ TEST(Cc, SolveIsRepeatable) {
   expect_same_partition(oracle, cc.components(), 80);
 }
 
+TEST(Cc, StateAcrossSolvesFollowsMergesAndSplits) {
+  // Six paths of 40 vertices, cyclic over four ranks: every rank seeds
+  // searches on every path at once, so each solve records collisions.
+  // Between solves the graph gains merging edges and loses bridges; a
+  // conflict list or resolved root label left over from an earlier solve
+  // would fuse components that have since split.
+  constexpr vertex_id kLen = 40, kPaths = 6, kN = kLen * kPaths;
+  std::vector<graph::edge> e;
+  for (vertex_id c = 0; c < kPaths; ++c)
+    for (vertex_id v = 0; v + 1 < kLen; ++v) e.push_back({c * kLen + v, c * kLen + v + 1});
+  distributed_graph g(kN, graph::symmetrize(e), distribution::cyclic(kN, 4));
+  cc_solver cc(g, ampp::transport_config{.n_ranks = 4});
+  // Every message type is registered by the constructor; solves add none.
+  const std::size_t types = cc.transport().num_types();
+
+  const auto both = [](vertex_id a, vertex_id b) {
+    return std::vector<graph::edge>{{a, b}, {b, a}};
+  };
+  const std::vector<graph::edge> merge01 = both(kLen - 1, kLen);      // path 0 + path 1
+  const std::vector<graph::edge> merge34 = both(4 * kLen - 1, 4 * kLen);  // path 3 + path 4
+  const std::vector<graph::edge> bridge2 = both(2 * kLen + 19, 2 * kLen + 20);  // splits path 2
+  std::vector<vertex_id> prev;
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("solve " + std::to_string(round));
+    if (round == 1) {
+      g.apply_edges(merge01);
+      g.remove_edges(g.resolve_edges(bridge2));
+    } else if (round == 2) {
+      g.remove_edges(g.resolve_edges(merge01));
+      g.apply_edges(bridge2);
+      g.apply_edges(merge34);
+    }
+    cc.solve();
+    EXPECT_GT(cc.conflict_pairs(), 0u);
+    EXPECT_EQ(cc.transport().num_types(), types);
+    const auto oracle = cc_union_find(g);
+    expect_same_partition(oracle, cc.components(), kN);
+    // Each mutation moves the partition, or the check above proves nothing.
+    EXPECT_NE(oracle, prev);
+    prev = oracle;
+  }
+}
+
 }  // namespace
 }  // namespace dpg::algo

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -236,6 +239,17 @@ TEST(ShmRingBackend, GeometryMismatchIsRejected) {
   // Rank 0 times out waiting for rank 1's attach — also an error, never a
   // half-attached machine.
   EXPECT_THROW(f0.get(), wire_error);
+  // Neither failed constructor may leave the segment behind: the creator
+  // unlinks its name on the way out.
+  const std::string name = "/dpg_" + cfg0.session + "_c" + std::to_string(channel);
+  const int fd = ::shm_open(name.c_str(), O_RDONLY, 0);
+  const int err = errno;
+  if (fd >= 0) {
+    ::close(fd);
+    ::shm_unlink(name.c_str());
+  }
+  EXPECT_LT(fd, 0) << name << " outlived both failed constructors";
+  EXPECT_EQ(err, ENOENT);
 }
 
 // ---- TCP -----------------------------------------------------------------

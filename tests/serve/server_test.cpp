@@ -404,6 +404,48 @@ TEST(KcoreSession, FirstRepairAfterColdSolveIsWarmAndExact) {
   }
 }
 
+// A cold cc solve seeds the union-find maintainer from its own canonical
+// labels instead of re-uniting every edge; the first repair on top of it
+// must be warm and exact — over a batch that splits one component at a
+// bridge and merges one half into another — and so must a chained second
+// batch that undoes both.
+TEST(CcSession, FirstRepairAfterColdSolveIsWarmAndExact) {
+  for (const graph::vertex_id seed : {3u, 11u}) {
+    // Vertices 0..99 form a random graph; 100..119 one path, all bridges.
+    auto edges = graph::erdos_renyi(100, 300, seed);
+    for (graph::vertex_id v = 100; v + 1 < kN; ++v) edges.push_back({v, v + 1});
+    distributed_graph g(kN, graph::symmetrize(edges), distribution::cyclic(kN, 2));
+    algo::session_env env;
+    env.g = &g;
+    env.machine = {.n_ranks = 2};
+    algo::cc_session s(env);
+    const session_result cold = s.run({});
+    EXPECT_FALSE(cold.warm_repair);
+    std::vector<graph::vertex_id> prev = algo::cc_union_find(g);
+    for (graph::vertex_id v = 0; v < kN; ++v) ASSERT_EQ(cold.value(v), prev[v]);
+
+    const std::vector<graph::edge> bridge = {{109, 110}, {110, 109}};
+    const std::vector<graph::edge> merge = {{119, 5}, {5, 119}};
+    for (int b = 0; b < 2; ++b) {
+      mutation_batch m;
+      m.base_version = g.version();
+      m.added = b == 0 ? merge : bridge;
+      m.removed = b == 0 ? bridge : merge;
+      g.apply_edges(m.added);
+      g.remove_edges(g.resolve_edges(m.removed));
+
+      const session_result r = s.repair({}, m);
+      EXPECT_TRUE(r.warm_repair) << "seed=" << seed << " batch " << b;
+      EXPECT_EQ(r.graph_version, g.version());
+      const auto want = algo::cc_union_find(g);
+      ASSERT_NE(want, prev) << "seed=" << seed << " batch " << b << " moved no label";
+      for (graph::vertex_id v = 0; v < kN; ++v)
+        ASSERT_EQ(r.value(v), want[v]) << "seed=" << seed << " batch " << b << " v=" << v;
+      prev = want;
+    }
+  }
+}
+
 TEST(ServerTest, ServingSummaryRendersContextsAndTenants) {
   fixture fx;
   server srv(fx.g, fx.w, fx.cfg());

@@ -57,8 +57,8 @@ std::string hash_of(const std::string& out) {
 }
 
 /// Each multi-process launch gets its own shm session and a disjoint port
-/// block (48 ports is more than the widest machine: cc opens two channels
-/// of at most 4 ports each).
+/// block (48 ports is more than the widest machine: every algorithm runs
+/// on one channel of at most 4 ports).
 struct launch_ids {
   std::string session;
   std::uint16_t base_port;
@@ -154,6 +154,18 @@ TEST(BackendSweepDefaultRing, SsspFloodFillsTheRing) {
   ASSERT_EQ(oracle.size(), 16u) << "oracle produced no hash";
   EXPECT_EQ(run_cross("shm", 2, "sssp", 1, big), oracle)
       << "default-ring shm fixed point diverged from the in-process oracle";
+}
+
+TEST(BackendSweepDefaultRing, CcFitsTheDefaultRing) {
+  // cc on the same graph at the library's default 1 MiB ring. Phase 1's
+  // collisions are allgathered out of band as one frame per rank; that
+  // frame carries each rank's distinct root pairs, not one record per
+  // colliding edge, so it fits the ring with room to spare.
+  const std::string big = "--vertices 16384 --edges 262144 --ring-bytes 0";
+  const std::string oracle = run_inproc(2, "cc", 1, "none", big);
+  ASSERT_EQ(oracle.size(), 16u) << "oracle produced no hash";
+  EXPECT_EQ(run_cross("shm", 2, "cc", 1, big), oracle)
+      << "default-ring shm cc diverged from the in-process oracle";
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, BackendSweep,
